@@ -16,8 +16,6 @@ final class EtNode(val v: Int, val parent: EtNode) extends Serializable {
     if (children == null) children = new mutable.ArrayBuffer[EtNode](2)
     children += c
   }
-  private[core] def remove(c: EtNode): Unit =
-    if (children != null) { val i = children.indexWhere(_ eq c); if (i >= 0) children.remove(i) }
 }
 
 /** Compact storage of intermediate results (§5).
@@ -26,6 +24,11 @@ final class EtNode(val v: Int, val parent: EtNode) extends Serializable {
   * `depth` nodes whose levels follow the matching order (Def. 10). Leaf
   * node identity (the JVM reference) is the result's unique ID — exactly
   * the paper's "address of its leaf node in memory".
+  *
+  * The paper's Removal operation is not performed: a trie is never changed
+  * once its round is expanded. ECs that verifyE refutes stay in it and are
+  * skipped where the trie is read — by the next round's copy, its fetch
+  * requests and the final harvest ([[PlanCtx.refuted]]).
   */
 final class EmbeddingTrie(val depth: Int) extends Serializable {
   val roots = new mutable.ArrayBuffer[EtNode]()
@@ -42,21 +45,6 @@ final class EmbeddingTrie(val depth: Int) extends Serializable {
   def attach(node: EtNode): Unit = {
     if (node.parent == null) roots += node else node.parent.add(node)
     nNodes += 1
-  }
-
-  /** Remove a leaf result; empty ancestors are cleaned up recursively —
-    * the Removal operation of §5.
-    */
-  def removeLeaf(leaf: EtNode): Unit = {
-    var node = leaf
-    var continue = true
-    while (continue && node != null) {
-      if (node.childCount == 0) {
-        if (node.parent == null) { val i = roots.indexWhere(_ eq node); if (i >= 0) { roots.remove(i); nNodes -= 1 } }
-        else { node.parent.remove(node); nNodes -= 1 }
-        node = node.parent
-      } else continue = false
-    }
   }
 
   /** All current result leaves (nodes at depth `depth`). */
@@ -87,9 +75,8 @@ final class EmbeddingTrie(val depth: Int) extends Serializable {
   /** Bytes of the equivalent flat embedding list: 8 B per mapped vertex. */
   def elBytes: Long = resultCount * depth * 8L
 
-  /** Insert a full path, sharing existing prefixes (used by tests and by
-    * round-boundary rebuilds; within-round growth goes through
-    * mkNode/attach as in Algorithms 1–2).
+  /** Insert a full path, sharing existing prefixes (used by tests;
+    * the engine grows tries through mkNode/attach as in Algorithms 1–2).
     */
   def insertPath(path: Array[Int]): EtNode = {
     require(path.length == depth, s"path length ${path.length} != depth $depth")

@@ -1,14 +1,12 @@
 package repro.core
 
-import org.apache.spark.SparkContext
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
-import java.util.concurrent.atomic.AtomicLong
-
 /** Logical communication cost of one RADS run (deviation D6 in DESIGN.md).
   *
   * Matches the paper's accounting: fetchV requests carry vertex ids (8 B),
   * responses carry the adjacency list (8 B per neighbor + 8 B id); verifyE
   * requests carry a vertex pair (16 B), responses one boolean (1 B).
+  * Derived from the persisted [[MachineStats]] ([[MachineStats.comm]]), so
+  * task retries and recomputation never count a message twice.
   */
 final case class CommStats(
     fetchReqBytes: Long,
@@ -31,6 +29,7 @@ final case class MachineStats(
     distEmbeddings: Long = 0,
     regionGroups: Long = 0,
     fetchedVertices: Long = 0,
+    fetchedAdjEntries: Long = 0,
     cacheHits: Long = 0,
     verifyEdges: Long = 0,
     sumEtNodes: Long = 0,
@@ -42,17 +41,26 @@ final case class MachineStats(
     smeCandidates + o.smeCandidates, distCandidates + o.distCandidates,
     smeEmbeddings + o.smeEmbeddings, distEmbeddings + o.distEmbeddings,
     regionGroups + o.regionGroups, fetchedVertices + o.fetchedVertices,
-    cacheHits + o.cacheHits, verifyEdges + o.verifyEdges,
+    fetchedAdjEntries + o.fetchedAdjEntries, cacheHits + o.cacheHits, verifyEdges + o.verifyEdges,
     sumEtNodes + o.sumEtNodes, sumEtBytes + o.sumEtBytes, sumElBytes + o.sumElBytes,
     math.max(peakEtBytes, o.peakEtBytes), math.max(peakElBytes, o.peakElBytes))
+
+  /** Every fetched vertex and every verified EVI key is one request and one
+    * response.
+    */
+  def comm: CommStats = CommStats(
+    fetchReqBytes = 8L * fetchedVertices,
+    fetchRespBytes = 8L * (fetchedVertices + fetchedAdjEntries),
+    verifyReqBytes = 16L * verifyEdges,
+    verifyRespBytes = verifyEdges)
 }
 
 /** Full metrics of one RADS run. */
 final case class RadsMetrics(
-    comm: CommStats,
     machines: MachineStats,
     rounds: Int,
     wallMillis: Long) {
+  def comm: CommStats = machines.comm
   def totalEmbeddings: Long = machines.smeEmbeddings + machines.distEmbeddings
 }
 
@@ -75,30 +83,3 @@ final case class BaselineMetrics(
     shuffledBytes: Long,
     rounds: Int,
     wallMillis: Long)
-
-/** Measures real Spark shuffle-read bytes between `mark()` calls — the
-  * physically observed counterpart of the logical accounting above.
-  */
-final class ShuffleListener extends SparkListener {
-  private val bytes = new AtomicLong(0)
-  override def onTaskEnd(taskEnd: SparkListenerTaskEnd): Unit = {
-    val m = taskEnd.taskMetrics
-    if (m != null) bytes.addAndGet(m.shuffleReadMetrics.totalBytesRead)
-  }
-  def snapshot(): Long = bytes.get()
-}
-
-object ShuffleListener {
-  /** Run `body` and return (result, approximate shuffle-read bytes). */
-  def measure[T](sc: SparkContext)(body: => T): (T, Long) = {
-    val l = new ShuffleListener
-    sc.addSparkListener(l)
-    try {
-      val before = l.snapshot()
-      val r = body
-      // listener events are async; give the bus a moment to drain
-      Thread.sleep(50)
-      (r, l.snapshot() - before)
-    } finally sc.removeSparkListener(l)
-  }
-}

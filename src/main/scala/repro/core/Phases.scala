@@ -1,16 +1,14 @@
 package repro.core
 
+import repro.graph.PartitionedGraph
 import scala.collection.mutable
 
 /** Pure per-machine R-Meef phase functions (Algorithms 1, 2 and 4).
   *
-  * Every function builds fresh structures from its inputs and never mutates
-  * a previous state (deviation D8), so the surrounding Spark lineage can be
-  * recomputed safely.
+  * No function mutates a previous state (deviation D8), so the surrounding
+  * Spark lineage can be recomputed safely.
   */
 object Phases {
-
-  private def edgeKey(a: Int, b: Int): (Int, Int) = (math.min(a, b), math.max(a, b))
 
   /** Init (per machine): candidate set of dp0.piv, border distance, the
     * SM-E split (Prop. 1), SM-E enumeration, and region grouping (Alg. 3).
@@ -29,24 +27,13 @@ object Phases {
     val local  = block.adj.keys.toArray.sorted
     val isLocal = (v: Int) => owner(v) == mid
 
-    // --- border distance (Def. 1): BFS from border vertices, local subgraph only ---
-    val bd = mutable.HashMap[Int, Int]()
-    val q  = new mutable.ArrayDeque[Int]()
-    local.foreach { v =>
-      if (block.adj(v).exists(w => owner(w) != mid)) { bd(v) = 0; q.append(v) }
-    }
-    while (q.nonEmpty) {
-      val v = q.removeHead()
-      block.adj(v).foreach { w =>
-        if (isLocal(w) && !bd.contains(w)) { bd(w) = bd(v) + 1; q.append(w) }
-      }
-    }
-    def borderDist(v: Int): Int = bd.getOrElse(v, Int.MaxValue)
+    // --- border distance (Def. 1) ---
+    val bd = PartitionedGraph.borderDistance(local, block.adj, owner)
 
     // --- candidates of dp0.piv + SM-E split ---
     val candidates = local.filter(v => block.adj(v).length >= p.degree(uStart))
     val (smeCands, distCands) =
-      if (smeEnabled) candidates.partition(v => borderDist(v) >= ctx.startSpan)
+      if (smeEnabled) candidates.partition(v => bd(v) >= ctx.startSpan)
       else (Array.empty[Int], candidates)
 
     // --- SM-E: single-machine enumeration restricted to local vertices ---
@@ -67,15 +54,15 @@ object Phases {
       smeCandidates = smeCands.length, distCandidates = distCands.length,
       smeEmbeddings = sme.count, regionGroups = groups.size)
     new MachineState(mid, groups, new EmbeddingTrie(1),
-      mutable.LinkedHashMap.empty, Map.empty,
+      mutable.LinkedHashSet.empty, Array.emptyLongArray, Map.empty,
       resultChunks = if (sme.embeddings.nonEmpty) List(sme.embeddings) else Nil,
       stats = stats)
   }
 
-  /** Expand (Algorithms 1–2): grow every embedding of P_{i-1} into the ECs
-    * of P_i through the pivot's adjacency, building a fresh trie and the
-    * EVI of undetermined edges. For round 0 the sources are the region
-    * group's candidate vertices.
+  /** Expand (Algorithms 1–2): grow every embedding of P_{i-1} that verifyE
+    * did not refute into the ECs of P_i through the pivot's adjacency,
+    * building a fresh trie and the EVI of undetermined edges. For round 0
+    * the sources are the region group's candidate vertices.
     */
   def expand(
       ctx: PlanCtx,
@@ -95,7 +82,7 @@ object Phases {
     val piv     = ctx.pivOf(i)
     val leaves  = ctx.unitLeaves(i)
     val newTrie = new EmbeddingTrie(ctx.depths(i))
-    val evi     = mutable.LinkedHashMap[(Int, Int), mutable.ArrayBuffer[EtNode]]()
+    val evi     = mutable.LinkedHashSet[(Int, Int)]()
     val f       = Array.fill(p.n)(-1)
     val used    = mutable.HashSet[Int]()
     var cacheHits = 0L
@@ -134,8 +121,7 @@ object Phases {
           if (k == leaves.size - 1) {
             // EC of P_i complete: register its undetermined edges (Def. 4)
             ctx.unitVerifEdges(i).foreach { case (a, b) =>
-              if (edgeStatus(f(a), f(b)).isEmpty)
-                evi.getOrElseUpdate(edgeKey(f(a), f(b)), mutable.ArrayBuffer()) += node
+              if (edgeStatus(f(a), f(b)).isEmpty) evi += PlanCtx.edgeKey(f(a), f(b))
             }
             newTrie.attach(node); any = true
           } else if (adjEnum(k + 1, node, pivAdj)) {
@@ -157,13 +143,17 @@ object Phases {
         f(piv) = -1; used -= v
       }
     } else {
-      // DFS-copy the old trie; at old leaves, expand unit i below the copy.
+      // DFS-copy the old trie; at old leaves that verifyE did not refute,
+      // expand unit i below the copy.
       def copyExpand(oldNode: EtNode, newParent: EtNode, level: Int): Boolean = {
-        val u = ctx.morder(level)
-        f(u) = oldNode.v; used += oldNode.v
+        val u    = ctx.morder(level)
+        val leaf = level == st.trie.depth - 1
+        f(u) = oldNode.v
+        if (leaf && ctx.refuted(i - 1, st.failed, f)) { f(u) = -1; return false }
+        used += oldNode.v
         val copy    = newTrie.mkNode(oldNode.v, newParent)
         var success = false
-        if (level == st.trie.depth - 1) {
+        if (leaf) {
           val vPiv = f(piv)
           val pivAdj = adjOrNull(vPiv)
           if (pivAdj != null) {
@@ -183,18 +173,21 @@ object Phases {
 
     val stats = st.stats.copy(
       fetchedVertices = st.stats.fetchedVertices + fetched.size,
+      fetchedAdjEntries = st.stats.fetchedAdjEntries + fetched.valuesIterator.map(_.length.toLong).sum,
       cacheHits = st.stats.cacheHits + cacheHits,
       sumEtNodes = st.stats.sumEtNodes + newTrie.nodeCount,
       sumEtBytes = st.stats.sumEtBytes + newTrie.etBytes,
       sumElBytes = st.stats.sumElBytes + newTrie.elBytes,
       peakEtBytes = math.max(st.stats.peakEtBytes, newTrie.etBytes),
       peakElBytes = math.max(st.stats.peakElBytes, newTrie.elBytes))
-    new MachineState(mid, st.groups, newTrie, evi, cache, st.resultChunks, stats)
+    new MachineState(mid, st.groups, newTrie, evi, Array.emptyLongArray, cache, st.resultChunks, stats)
   }
 
-  /** Verify & filter: drop every EC sharing a failed undetermined edge
-    * (Prop. 2), rebuilding the trie without the failed leaves; on the final
-    * round, harvest the surviving embeddings into a result chunk.
+  /** Verify & filter (Prop. 2) without a rebuild: the trie is kept as it is
+    * and the failed undetermined edges are recorded, so the next round's
+    * copy, its fetch requests and the harvest skip every refuted EC
+    * ([[PlanCtx.refuted]]). On the final round, harvest the surviving
+    * embeddings into a result chunk.
     */
   def filter(
       ctx: PlanCtx,
@@ -202,37 +195,19 @@ object Phases {
       failedEdges: Set[(Int, Int)],
       harvest: Boolean): MachineState = {
 
-    val failedLeaves = java.util.Collections.newSetFromMap(
-      new java.util.IdentityHashMap[EtNode, java.lang.Boolean]())
-    failedEdges.foreach(key => st.evi.get(key).foreach(_.foreach(failedLeaves.add)))
-
-    val newTrie = new EmbeddingTrie(st.trie.depth)
-    def copy(oldNode: EtNode, newParent: EtNode, level: Int): Boolean = {
-      if (level == st.trie.depth - 1 && failedLeaves.contains(oldNode)) return false
-      val c = newTrie.mkNode(oldNode.v, newParent)
-      var keep = level == st.trie.depth - 1
-      if (!keep && oldNode.children != null)
-        oldNode.children.foreach { ch => if (copy(ch, c, level + 1)) keep = true }
-      if (keep) newTrie.attach(c)
-      keep
-    }
-    st.trie.roots.foreach(r => copy(r, null, 0))
-
+    val failed   = failedEdges.iterator.map { case (a, b) => PlanCtx.packedKey(a, b) }.toArray.sorted
     val verified = st.stats.copy(verifyEdges = st.stats.verifyEdges + st.evi.size)
     if (!harvest)
-      new MachineState(st.mid, st.groups, newTrie, mutable.LinkedHashMap.empty, st.cache,
-        st.resultChunks, verified)
+      new MachineState(st.mid, st.groups, st.trie, mutable.LinkedHashSet.empty, failed,
+        st.cache, st.resultChunks, verified)
     else {
-      // convert matching-order paths to query-vertex-indexed embeddings
-      val chunk = newTrie.results.map { path =>
-        val out = new Array[Int](ctx.pattern.n)
-        var lvl = 0
-        while (lvl < path.length) { out(ctx.morder(lvl)) = path(lvl); lvl += 1 }
-        out
-      }.toVector
+      val round = ctx.depths.indexOf(st.trie.depth)
+      val harvested = Vector.newBuilder[Array[Int]]
+      ctx.foreachUnrefuted(st.trie, round, failed)(f => harvested += f.clone())
+      val chunk = harvested.result()
       val stats = verified.copy(distEmbeddings = verified.distEmbeddings + chunk.size)
-      new MachineState(st.mid, st.groups, new EmbeddingTrie(1), mutable.LinkedHashMap.empty,
-        st.cache, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
+      new MachineState(st.mid, st.groups, new EmbeddingTrie(1), mutable.LinkedHashSet.empty,
+        Array.emptyLongArray, st.cache, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
     }
   }
 }

@@ -43,9 +43,52 @@ final case class PlanCtx(
     startSpan: Int) {
   def numRounds: Int = pivOf.size
   def uStart: Int = pivOf.head
+
+  // unitVerifEdges flattened to (a0, b0, a1, b1, ...) for `refuted`, which
+  // runs once per EC of the previous round
+  private val verifFlat: Array[Array[Int]] =
+    unitVerifEdges.map(_.flatMap { case (a, b) => Vector(a, b) }.toArray).toArray
+
+  /** Prop. 2 without removal: an EC of round `i` with image `f` (query
+    * vertex -> data vertex) is refuted iff one of its verification edges
+    * maps to a key in `failed` (sorted [[PlanCtx.packedKey]]s). The rule is
+    * exact: a failed key is a data edge that does not exist, so an EC whose
+    * edge could be checked locally and was absent was never built.
+    */
+  def refuted(i: Int, failed: Array[Long], f: Array[Int]): Boolean = {
+    val es = verifFlat(i)
+    var k  = 0
+    while (k < es.length) {
+      if (java.util.Arrays.binarySearch(failed, PlanCtx.packedKey(f(es(k)), f(es(k + 1)))) >= 0) return true
+      k += 2
+    }
+    false
+  }
+
+  /** Calls `fn` with the image `f` of every EC of round `i` in `trie` that
+    * `failed` does not refute. `f` is one array, reused between calls.
+    */
+  def foreachUnrefuted(trie: EmbeddingTrie, i: Int, failed: Array[Long])(fn: Array[Int] => Unit): Unit = {
+    val f = new Array[Int](pattern.n)
+    def rec(n: EtNode, level: Int): Unit = {
+      f(morder(level)) = n.v
+      if (level == trie.depth - 1) { if (!refuted(i, failed, f)) fn(f) }
+      else if (n.children != null) n.children.foreach(rec(_, level + 1))
+    }
+    trie.roots.foreach(rec(_, 0))
+  }
 }
 
 object PlanCtx {
+  /** Undirected data-edge key: (smaller, larger). */
+  def edgeKey(a: Int, b: Int): (Int, Int) = (math.min(a, b), math.max(a, b))
+
+  /** The same key packed into one Long. `failed` keeps these in a sorted
+    * array: one object for Spark's size estimate of the cached state, and
+    * a lookup per EC that allocates nothing.
+    */
+  def packedKey(a: Int, b: Int): Long = (math.min(a, b).toLong << 32) | math.max(a, b)
+
   def apply(plan: ExecutionPlan, sb: Vector[(Int, Int)]): PlanCtx = {
     val p      = plan.pattern
     val morder = plan.matchingOrder
@@ -68,33 +111,37 @@ object PlanCtx {
 }
 
 /** Per-machine R-Meef state. Phases never mutate a previous state's
-  * structures (DESIGN.md deviation D8): each phase builds a fresh trie, so
-  * Spark lineage recomputation is always safe.
+  * structures (DESIGN.md deviation D8): expand builds a fresh trie and
+  * filter only records `failed`, so Spark lineage recomputation is always
+  * safe. `evi` holds the undetermined edge keys of the trie's round (Def.
+  * 5) until filter; `failed` holds, after filter, those that verifyE
+  * refuted, packed and sorted. Only `trie` holds trie nodes.
   */
 final class MachineState(
     val mid: Int,
     val groups: Vector[Vector[Int]],
     val trie: EmbeddingTrie,
-    val evi: mutable.LinkedHashMap[(Int, Int), mutable.ArrayBuffer[EtNode]],
+    val evi: mutable.LinkedHashSet[(Int, Int)],
+    val failed: Array[Long],
     val cache: Map[Int, Array[Int]],
     val resultChunks: List[Vector[Array[Int]]],
     val stats: MachineStats) extends Serializable {
 
-  /** Distinct foreign, uncached pivot images to fetch for round `i` —
-    * the paper's single batched fetchV request (§3.2 Expand).
+  /** Distinct foreign, uncached pivot images of the unrefuted ECs, to
+    * fetch for round `i` — the paper's single batched fetchV request (§3.2
+    * Expand).
     */
   def pendingFetch(ctx: PlanCtx, i: Int, owner: Array[Int]): Iterator[Int] = {
     val piv = ctx.pivOf(i)
-    val posPiv = ctx.pos(piv)
     val out = mutable.LinkedHashSet[Int]()
-    trie.leaves.foreach { leaf =>
-      val v = trie.pathOf(leaf)(posPiv)
+    ctx.foreachUnrefuted(trie, i - 1, failed) { f =>
+      val v = f(piv)
       if (owner(v) != mid && !cache.contains(v)) out += v
     }
     out.iterator
   }
 
-  def eviKeys: Iterator[(Int, Int)] = evi.keysIterator
+  def eviKeys: Iterator[(Int, Int)] = evi.iterator
 }
 
 /** Result of one RADS run. */
@@ -131,11 +178,6 @@ object RMeefEngine {
     val t0  = System.currentTimeMillis()
     val part = new MidPartitioner(m)
     val ownerBc = sc.broadcast(pg.owner)
-
-    val fetchReqB  = sc.longAccumulator("fetchReqBytes")
-    val fetchRespB = sc.longAccumulator("fetchRespBytes")
-    val verReqB    = sc.longAccumulator("verifyReqBytes")
-    val verRespB   = sc.longAccumulator("verifyRespBytes")
 
     val adjRdd: RDD[(Int, AdjBlock)] = sc
       .parallelize((0 until m).map(t => (t, AdjBlock(t, pg.adjBlock(t)))), m)
@@ -175,12 +217,7 @@ object RMeefEngine {
           }
           reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
             val block = aIter.next()._2
-            rIter.map { case (_, (reqMid, v)) =>
-              fetchReqB.add(8)
-              val nb = block.adj.getOrElse(v, Array.empty[Int])
-              fetchRespB.add(8L * (1 + nb.length))
-              (reqMid, (v, nb))
-            }
+            rIter.map { case (_, (reqMid, v)) => (reqMid, (v, block.adj.getOrElse(v, Array.empty[Int]))) }
           }.partitionBy(part)
         }
 
@@ -200,10 +237,7 @@ object RMeefEngine {
         }
         reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
           val block = aIter.next()._2
-          rIter.map { case (_, (reqMid, a, b)) =>
-            verReqB.add(16); verRespB.add(1)
-            (reqMid, ((a, b), block.hasEdge(a, b)))
-          }
+          rIter.map { case (_, (reqMid, a, b)) => (reqMid, ((a, b), block.hasEdge(a, b))) }
         }.partitionBy(part)
       }
       val lastRound = i == ctx.numRounds - 1
@@ -224,8 +258,7 @@ object RMeefEngine {
     adjRdd.unpersist(blocking = false)
     ownerBc.destroy()
 
-    val comm = CommStats(fetchReqB.value, fetchRespB.value, verReqB.value, verRespB.value)
     RadsRun(count, embeddings,
-      RadsMetrics(comm, stats, ctx.numRounds, System.currentTimeMillis() - t0), plan)
+      RadsMetrics(stats, ctx.numRounds, System.currentTimeMillis() - t0), plan)
   }
 }

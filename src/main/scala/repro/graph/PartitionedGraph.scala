@@ -46,23 +46,8 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
     * `Int.MaxValue` when the machine has no border vertices reachable (e.g.
     * m = 1, or an interior island) — such vertices always qualify for SM-E.
     */
-  lazy val borderDistance: Array[Int] = {
-    val dist = Array.fill(graph.n)(Int.MaxValue)
-    val q    = new mutable.ArrayDeque[Int]()
-    for (t <- 0 until m; b <- borderVertices(t)) { dist(b) = 0; q.append(b) }
-    while (q.nonEmpty) {
-      val v  = q.removeHead()
-      val t  = owner(v)
-      val nb = graph.neighbors(v)
-      var i  = 0
-      while (i < nb.length) {
-        val w = nb(i)
-        if (owner(w) == t && dist(w) == Int.MaxValue) { dist(w) = dist(v) + 1; q.append(w) }
-        i += 1
-      }
-    }
-    dist
-  }
+  lazy val borderDistance: Array[Int] =
+    PartitionedGraph.borderDistance(Array.range(0, graph.n), graph.neighbors, owner)
 
   /** Owned adjacency of one machine, as a map for task-local lookup. */
   def adjBlock(t: Int): Map[Int, Array[Int]] =
@@ -89,6 +74,31 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
 }
 
 object PartitionedGraph {
+  /** Border distance (Def. 1) of the vertices `vs`: multi-source BFS from
+    * those that have a neighbour on another machine, never leaving the
+    * owner's machine. Indexed by vertex id; `Int.MaxValue` for vertices
+    * outside `vs` and for those no border vertex reaches. `vs` must hold
+    * every vertex of each machine it touches; `adj` need only cover `vs`,
+    * so one machine can pass its own adjacency block.
+    */
+  def borderDistance(vs: Array[Int], adj: Int => Array[Int], owner: Array[Int]): Array[Int] = {
+    val dist = Array.fill(owner.length)(Int.MaxValue)
+    val q    = new mutable.ArrayDeque[Int]()
+    vs.foreach { v => if (adj(v).exists(w => owner(w) != owner(v))) { dist(v) = 0; q.append(v) } }
+    while (q.nonEmpty) {
+      val v  = q.removeHead()
+      val t  = owner(v)
+      val nb = adj(v)
+      var i  = 0
+      while (i < nb.length) {
+        val w = nb(i)
+        if (owner(w) == t && dist(w) == Int.MaxValue) { dist(w) = dist(v) + 1; q.append(w) }
+        i += 1
+      }
+    }
+    dist
+  }
+
   /** Partition with METIS-lite (the default, like the paper's METIS). */
   def metis(g: Graph, m: Int, seed: Long = 17): PartitionedGraph =
     PartitionedGraph(g, GraphPartitioner.metisLite(g, m, seed), m)

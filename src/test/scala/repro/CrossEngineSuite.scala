@@ -2,7 +2,7 @@ package repro
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.baselines.{PSgL, TwinTwig}
-import repro.core.{EmbeddingTrie, LocalEnum, Rads}
+import repro.core.{LocalEnum, Rads}
 import repro.graph.{GraphGen, PartitionedGraph}
 import repro.query.{Automorphism, Queries}
 
@@ -62,21 +62,6 @@ class CrossEngineSuite extends SparkSpec {
       run.df.unpersist()
       ok
     }, 4)
-  }
-
-  test("property: trie insert/remove round-trip") {
-    val genPaths = Gen.listOfN(30,
-      Gen.listOfN(4, Gen.choose(0, 50)).map(_.toArray)).map(_.map(_.toSeq).distinct.map(_.toArray))
-    checkProp(Prop.forAll(genPaths, Gen.choose(0, 29)) { (paths, dropCount) =>
-      val t = new EmbeddingTrie(4)
-      paths.foreach(t.insertPath)
-      val toDrop = paths.take(math.min(dropCount, paths.size))
-      toDrop.foreach { p =>
-        t.leaves.find(l => t.pathOf(l).sameElements(p)).foreach(t.removeLeaf)
-      }
-      val remaining = paths.drop(math.min(dropCount, paths.size)).map(_.toSeq).toSet
-      t.results.map(_.toSeq).toSet == remaining
-    }, 30)
   }
 
   test("property: |all| == |broken| x |Aut| on random graphs") {

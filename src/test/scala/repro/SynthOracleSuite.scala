@@ -1,69 +1,39 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.graph.{GraphGen, PartitionedGraph}
 
-/** Exercises the provided TPC-H-lite generators and the DuckDB oracle on a
-  * relational aggregate — proving the oracle harness itself is trustworthy
-  * before the enumeration suites lean on it.
+/** Checks the DuckDB oracle itself on a relational aggregate over a
+  * synthetic graph's edge table — proving the oracle harness is
+  * trustworthy before the enumeration suites lean on it.
   */
 class SynthOracleSuite extends SparkSpec {
 
-  test("SynthData.lineitem is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, sf = 0.001).agg(sum("l_quantity")).collect()(0).getDouble(0)
-    val b = SynthData.lineitem(spark, sf = 0.001).agg(sum("l_quantity")).collect()(0).getDouble(0)
-    assert(a == b)
-  }
+  private def edges = PartitionedGraph.hashed(GraphGen.gnm(30, 60, seed = 1), 2).edgesDf(spark)
 
-  test("SynthData row counts scale with sf") {
-    assert(SynthData.orders(spark, sf = 0.001).count() == 1500)
-    assert(SynthData.customer(spark, sf = 0.001).count() == 150)
-    assert(SynthData.part(spark, sf = 0.001).count() == 200)
-  }
-
-  test("zipfKeys skews toward small keys") {
-    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).collect()(0)
-    assert(top.getLong(0) <= 5, s"hottest key should be small, got ${top.getLong(0)}")
-  }
-
-  test("uniformKeys stays within range") {
-    val mm = SynthData.uniformKeys(spark, 5000, 50).agg(min("k"), max("k")).collect()(0)
-    assert(mm.getLong(0) >= 1 && mm.getLong(1) <= 50)
-  }
-
-  test("Oracle verifies a TPC-H-lite aggregate against DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val sparkRes = li
-      .groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
-      .select(col("l_returnflag"), col("cnt"), col("qty"))
+  test("Oracle verifies a degree aggregate against DuckDB") {
+    val e = edges
+    val sparkRes = e.groupBy("src").agg(count(lit(1)).as("deg"), max("dst").as("top"))
     Oracle.assertEquivalent(
       sparkRes,
-      """SELECT l_returnflag,
-        |       COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT src, COUNT(*) AS deg, MAX(CAST(dst AS INTEGER)) AS top
+        |FROM edges GROUP BY src""".stripMargin,
+      "edges" -> e)
   }
 
   test("Oracle catches a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val wrong = li.groupBy("l_returnflag")
-      .agg((count(lit(1)) + 1).as("cnt")) // off by one
+    val e = edges
+    val wrong = e.groupBy("src").agg((count(lit(1)) + 1).as("deg")) // off by one
     assertThrows[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, "SELECT src, COUNT(*) AS deg FROM edges GROUP BY src", "edges" -> e)
     }
   }
 
   test("Oracle catches a column-name mismatch") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val res = li.groupBy("l_returnflag").agg(count(lit(1)).as("n"))
+    val e = edges
+    val res = e.groupBy("src").agg(count(lit(1)).as("n"))
     assertThrows[IllegalArgumentException] {
-      Oracle.assertEquivalent(res,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(res, "SELECT src, COUNT(*) AS deg FROM edges GROUP BY src", "edges" -> e)
     }
   }
 }

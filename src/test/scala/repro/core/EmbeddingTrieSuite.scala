@@ -20,24 +20,6 @@ class EmbeddingTrieSuite extends AnyFunSuite {
     assert(t.roots.size == 1 && t.roots.head.v == 0)
   }
 
-  test("Example 6(b): filtering the second EC keeps the shared prefix") {
-    val t = example6
-    val doomed = t.leaves.find(l => t.pathOf(l).toSeq == Seq(0, 1, 9)).get
-    t.removeLeaf(doomed)
-    assert(t.resultCount == 2)
-    assert(t.nodeCount == 5)
-    assert(t.results.map(_.toSeq).toSet == Set(Seq(0, 1, 2), Seq(0, 9, 11)))
-  }
-
-  test("removal cleans up empty ancestors recursively") {
-    val t = new EmbeddingTrie(3)
-    t.insertPath(Array(0, 1, 2))
-    t.insertPath(Array(5, 6, 7))
-    t.removeLeaf(t.leaves.find(l => t.pathOf(l)(0) == 5).get)
-    assert(t.nodeCount == 3)
-    assert(t.roots.size == 1 && t.roots.head.v == 0)
-  }
-
   test("childCount tracks attached children") {
     val t = example6
     assert(t.roots.head.childCount == 2)

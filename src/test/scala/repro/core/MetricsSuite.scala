@@ -20,8 +20,15 @@ class MetricsSuite extends AnyFunSuite {
     assert(c.peakEtBytes == 100 && c.peakElBytes == 90)
   }
 
+  test("communication is priced from the per-machine counters") {
+    // 2 fetched vertices with 5 adjacency entries in all, 3 verified edges
+    val s = MachineStats(fetchedVertices = 2, fetchedAdjEntries = 5, verifyEdges = 3)
+    assert(s.comm == CommStats(16, 56, 48, 3))
+    assert(RadsMetrics(s, rounds = 2, wallMillis = 1).comm.totalBytes == 123)
+  }
+
   test("RadsMetrics.totalEmbeddings") {
-    val m = RadsMetrics(CommStats.zero,
+    val m = RadsMetrics(
       MachineStats(smeEmbeddings = 3, distEmbeddings = 4), rounds = 2, wallMillis = 1)
     assert(m.totalEmbeddings == 7)
   }

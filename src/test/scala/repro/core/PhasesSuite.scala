@@ -1,0 +1,92 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.{Graph, PartitionedGraph}
+import repro.query.{DecompUnit, ExecutionPlan, Pattern}
+
+/** The filter of Prop. 2 (the paper's Example 6(b)) at the level of the
+  * phase functions, on one machine and without Spark: an EC whose
+  * undetermined edge fails verifyE must vanish from the next round's
+  * expand, its fetch requests and the final harvest, while the ECs that
+  * share its prefix survive.
+  */
+class PhasesSuite extends AnyFunSuite {
+
+  // Two triangles sharing u1. Round 0 matches (u0; u1, u2) and verifies the
+  // sibling edge (u1, u2); round 1 matches (u1; u3, u4) and verifies (u3, u4).
+  private val bowtie =
+    Pattern("bowtie", 5, Vector((0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4)))
+  private val ctx = PlanCtx(
+    ExecutionPlan(bowtie, Vector(DecompUnit(0, Vector(1, 2)), DecompUnit(1, Vector(3, 4)))),
+    Vector.empty)
+
+  // Machine 0 owns vertex 0 alone, so every edge between its neighbours
+  // 1, 2, 3 is undetermined there; only (1, 2) exists. Below 1, only
+  // (5, 6) of the edges among 5, 6, 7 exists. Vertex 4 is isolated.
+  private val g = Graph.fromEdges(10, Seq((0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (1, 6),
+    (1, 7), (5, 6), (3, 8), (3, 9), (8, 9)))
+  private val owner = Array.tabulate(10)(v => if (v == 0) 0 else 1)
+  private val block = AdjBlock(0, PartitionedGraph(g, owner, 2).adjBlock(0))
+
+  /** verifyE answered by the data graph: the EVI keys that are no edge. */
+  private def verify(st: MachineState): Set[(Int, Int)] =
+    st.eviKeys.filterNot { case (a, b) => g.hasEdge(a, b) }.toSet
+
+  private def paths(t: EmbeddingTrie): Set[Seq[Int]] = t.results.map(_.toSeq).toSet
+
+  private def fetch(vs: Set[Int]): Map[Int, Array[Int]] = vs.map(v => v -> g.neighbors(v)).toMap
+
+  private lazy val round0 = {
+    val init = Phases.init(ctx, 0, block, owner, budgetBytes = 1e9, smeEnabled = false, seed = 1)
+    Phases.expand(ctx, init, block, Map.empty, owner, g = 0, i = 0)
+  }
+  private lazy val failed0 = verify(round0)
+  private lazy val filtered0 = Phases.filter(ctx, round0, failed0, harvest = false)
+  private lazy val round1 =
+    Phases.expand(ctx, filtered0, block, fetch(filtered0.pendingFetch(ctx, 1, owner).toSet), owner, g = 0, i = 1)
+
+  test("round 0 leaves two undetermined edges that fail") {
+    assert(paths(round0.trie) == Set(Seq(0, 1, 2), Seq(0, 1, 3), Seq(0, 2, 1), Seq(0, 2, 3),
+      Seq(0, 3, 1), Seq(0, 3, 2)))
+    assert(round0.eviKeys.toSet == Set((1, 2), (1, 3), (2, 3)))
+    assert(failed0 == Set((1, 3), (2, 3)))
+  }
+
+  test("filter keeps the trie and records the failed keys") {
+    assert(filtered0.trie eq round0.trie)
+    assert(filtered0.eviKeys.isEmpty)
+    assert(filtered0.failed.length == failed0.size)
+    assert(filtered0.stats.verifyEdges == 3)
+  }
+
+  test("pendingFetch omits pivots that only refuted ECs need") {
+    // u1 = 3 only in the refuted ECs (0, 3, 1) and (0, 3, 2)
+    assert(filtered0.pendingFetch(ctx, 1, owner).toSet == Set(1, 2))
+    val unfiltered = Phases.filter(ctx, round0, Set.empty, harvest = false)
+    assert(unfiltered.pendingFetch(ctx, 1, owner).toSet == Set(1, 2, 3))
+  }
+
+  test("the next expand copies no refuted EC; ECs sharing its prefix survive") {
+    // (0, 1, 2) shares (0, 1) with the refuted (0, 1, 3); (0, 2, 1) survives
+    // but has no extension, since 2's only neighbours are 0 and 1.
+    assert(paths(round1.trie).map(_.take(3)) == Set(Seq(0, 1, 2)))
+    assert(round1.trie.resultCount == 6) // ordered pairs of {5, 6, 7}
+    // 0, 1, 2, then 5, 6, 7 and six leaves: no ancestor of a refuted EC alone
+    assert(round1.trie.nodeCount == 12)
+    // Without the failed keys, (0, 1, 3) would grow below the same fetched pivot.
+    val unfiltered = Phases.filter(ctx, round0, Set.empty, harvest = false)
+    val grown = Phases.expand(ctx, unfiltered, block, fetch(Set(1, 2, 3)), owner, g = 0, i = 1)
+    assert(paths(grown.trie).map(_.take(3)).contains(Seq(0, 1, 3)))
+  }
+
+  test("the harvest omits refuted ECs and equals the reference") {
+    val failed1 = verify(round1)
+    assert(failed1 == Set((5, 7), (6, 7)))
+    val done = Phases.filter(ctx, round1, failed1, harvest = true)
+    val harvested = done.resultChunks.flatten.map(_.toSeq).toSet
+    assert(harvested == Set(Seq(0, 1, 2, 5, 6), Seq(0, 1, 2, 6, 5)))
+    assert(done.stats.distEmbeddings == 2)
+    val reference = LocalEnum.reference(bowtie, g, Nil).embeddings.filter(_(0) == 0).map(_.toSeq).toSet
+    assert(harvested == reference)
+  }
+}
