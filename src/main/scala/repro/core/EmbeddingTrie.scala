@@ -1,102 +1,77 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** One node of the embedding trie (Def. 11): a data vertex, a parent
-  * pointer, and its children. The paper's node carries only
-  * (v, parentN, childCount); we additionally keep the child list for
-  * traversal but account bytes with the paper's 20 B/node model
-  * (8 B vertex + 8 B parent pointer + 4 B childCount).
-  */
-final class EtNode(val v: Int, val parent: EtNode) extends Serializable {
-  private[core] var children: mutable.ArrayBuffer[EtNode] = _
-  def childCount: Int = if (children == null) 0 else children.size
-  def isLeaf: Boolean = childCount == 0
-  private[core] def add(c: EtNode): Unit = {
-    if (children == null) children = new mutable.ArrayBuffer[EtNode](2)
-    children += c
-  }
-}
-
 /** Compact storage of intermediate results (§5).
   *
   * Every result of the current sub-pattern `P_i` is a root-to-leaf path of
-  * `depth` nodes whose levels follow the matching order (Def. 10). Leaf
-  * node identity (the JVM reference) is the result's unique ID — exactly
-  * the paper's "address of its leaf node in memory".
+  * `depth` nodes whose levels follow the matching order (Def. 10). A node is
+  * the paper's (v, parentN): level `l` is two int arrays, the data vertex
+  * of each node and the index of its parent in level `l - 1`. Nodes are
+  * appended depth-first, so a node's children are one contiguous run of
+  * the next level, and a leaf's index is the result's unique ID (the
+  * paper's "address of its leaf node"). A trie is O(depth) objects.
   *
-  * The paper's Removal operation is not performed: a trie is never changed
-  * once its round is expanded. ECs that verifyE refutes stay in it and are
-  * skipped where the trie is read — by the next round's copy, its fetch
-  * requests and the final harvest ([[PlanCtx.refuted]]).
+  * Algorithm 2's create-then-attach is [[push]], then [[pop]] if the subtree
+  * below the node failed, so every node above the last level has a child.
+  * ECs that verifyE refutes are not removed: they are skipped where the trie
+  * is read — by the next round's copy, its fetch requests and the final
+  * harvest ([[PlanCtx.refuted]]).
   */
 final class EmbeddingTrie(val depth: Int) extends Serializable {
-  val roots = new mutable.ArrayBuffer[EtNode]()
-  private var nNodes: Long = 0
+  private val vs   = Array.fill(depth)(new Array[Int](8))
+  private val par  = Array.fill(depth)(new Array[Int](8))
+  private val size = new Array[Int](depth)
 
-  def nodeCount: Long = nNodes
+  /** Number of nodes at `level`. */
+  def levelSize(level: Int): Int = size(level)
 
-  /** Create a detached node (Algorithm 2 creates first, attaches only if the
-    * subtree below it succeeds).
-    */
-  def mkNode(v: Int, parent: EtNode): EtNode = new EtNode(v, parent)
+  /** Data vertex of node `n` at `level`. */
+  def vertex(level: Int, n: Int): Int = vs(level)(n)
 
-  /** Attach a node under its parent (or as a root). Counts the node. */
-  def attach(node: EtNode): Unit = {
-    if (node.parent == null) roots += node else node.parent.add(node)
-    nNodes += 1
+  /** Index in `level - 1` of the parent of node `n` at `level` (-1 for a root). */
+  def parent(level: Int, n: Int): Int = par(level)(n)
+
+  /** Appends `v` at `level` as the last child of the last node one level up. */
+  def push(level: Int, v: Int): Unit = {
+    val n = size(level)
+    if (n == vs(level).length) {
+      vs(level) = java.util.Arrays.copyOf(vs(level), math.max(8, 2 * n))
+      par(level) = java.util.Arrays.copyOf(par(level), math.max(8, 2 * n))
+    }
+    vs(level)(n) = v
+    par(level)(n) = if (level == 0) -1 else size(level - 1) - 1
+    size(level) = n + 1
   }
 
-  /** All current result leaves (nodes at depth `depth`). */
-  def leaves: Iterator[EtNode] = {
-    def rec(n: EtNode, level: Int): Iterator[EtNode] =
-      if (level == depth) Iterator.single(n)
-      else if (n.children == null) Iterator.empty
-      else n.children.iterator.flatMap(c => rec(c, level + 1))
-    roots.iterator.flatMap(r => rec(r, 1))
+  /** Removes the last node at `level`, which must have no children. */
+  def pop(level: Int): Unit = {
+    val n = size(level) - 1
+    require(level == depth - 1 || size(level + 1) == 0 || par(level + 1)(size(level + 1) - 1) < n,
+      s"pop of a node with children at level $level")
+    size(level) = n
   }
 
-  /** The data-vertex path of a result, root first (Retrieval of §5). */
-  def pathOf(leaf: EtNode): Array[Int] = {
+  /** Shrinks every level to its size, once the trie is built. */
+  def compact(): Unit = (0 until depth).foreach { l =>
+    vs(l) = java.util.Arrays.copyOf(vs(l), size(l))
+    par(l) = java.util.Arrays.copyOf(par(l), size(l))
+  }
+
+  def nodeCount: Long = size.foldLeft(0L)(_ + _)
+
+  def resultCount: Long = size(depth - 1).toLong
+
+  /** The data-vertex path of result `leaf`, root first (Retrieval of §5). */
+  def pathOf(leaf: Int): Array[Int] = {
     val out = new Array[Int](depth)
-    var n = leaf; var i = depth - 1
-    while (n != null) { out(i) = n.v; i -= 1; n = n.parent }
-    require(i == -1, s"leaf at wrong depth (expected $depth)")
+    var n = leaf
+    var l = depth - 1
+    while (l >= 0) { out(l) = vs(l)(n); n = par(l)(n); l -= 1 }
     out
   }
 
-  def results: Iterator[Array[Int]] = leaves.map(pathOf)
-
-  def resultCount: Long = leaves.size.toLong
-
   /** Bytes in the paper's trie model: 20 B per node. */
-  def etBytes: Long = nNodes * 20L
+  def etBytes: Long = nodeCount * 20L
 
   /** Bytes of the equivalent flat embedding list: 8 B per mapped vertex. */
   def elBytes: Long = resultCount * depth * 8L
-
-  /** Insert a full path, sharing existing prefixes (used by tests;
-    * the engine grows tries through mkNode/attach as in Algorithms 1–2).
-    */
-  def insertPath(path: Array[Int]): EtNode = {
-    require(path.length == depth, s"path length ${path.length} != depth $depth")
-    var parent: EtNode = null
-    var siblings: mutable.ArrayBuffer[EtNode] = roots
-    var i = 0
-    while (i < path.length) {
-      val v = path(i)
-      val existing = if (siblings == null) None else siblings.find(_.v == v)
-      val node = existing match {
-        case Some(nd) if i < path.length - 1 => nd // never merge into an existing leaf: results are unique
-        case _ =>
-          val nd = mkNode(v, parent)
-          attach(nd)
-          nd
-      }
-      parent = node
-      siblings = node.children
-      i += 1
-    }
-    parent
-  }
 }

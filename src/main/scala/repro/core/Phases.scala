@@ -62,7 +62,9 @@ object Phases {
   /** Expand (Algorithms 1–2): grow every embedding of P_{i-1} that verifyE
     * did not refute into the ECs of P_i through the pivot's adjacency,
     * building a fresh trie and the EVI of undetermined edges. For round 0
-    * the sources are the region group's candidate vertices.
+    * the sources are the region group's candidate vertices. A foreign pivot
+    * of an unrefuted EC whose adjacency is neither cached nor in `fetched`
+    * is an error, not a pruned branch.
     */
   def expand(
       ctx: PlanCtx,
@@ -82,9 +84,9 @@ object Phases {
     val piv     = ctx.pivOf(i)
     val leaves  = ctx.unitLeaves(i)
     val newTrie = new EmbeddingTrie(ctx.depths(i))
+    val base    = ctx.depths(i) - leaves.size // trie level of unit i's first leaf
     val evi     = mutable.LinkedHashSet[(Int, Int)]()
     val f       = Array.fill(p.n)(-1)
-    val used    = mutable.HashSet[Int]()
     var cacheHits = 0L
 
     // status of a data edge: Some(exists) if decidable locally, None otherwise
@@ -97,14 +99,21 @@ object Phases {
       }
     }
 
-    /** Algorithm 2 over the leaves of unit i, below `parent` in the new trie. */
-    def adjEnum(k: Int, parent: EtNode, pivAdj: Array[Int]): Boolean = {
+    // injectivity: v is not yet the image of a query vertex
+    def unused(v: Int): Boolean = {
+      var j = 0
+      while (j < f.length && f(j) != v) j += 1
+      j == f.length
+    }
+
+    /** Algorithm 2 over unit i's leaves from k on, below the node last pushed one level up. */
+    def adjEnum(k: Int, pivAdj: Array[Int]): Boolean = {
       val u = leaves(k)
       var any = false
       var ci = 0
       while (ci < pivAdj.length) {
         val v = pivAdj(ci)
-        var ok = !used.contains(v)
+        var ok = unused(v)
         if (ok) { // candidate-level degree filter when adjacency is known
           val av = adjOrNull(v)
           if (av != null && av.length < p.degree(u)) ok = false
@@ -116,18 +125,17 @@ object Phases {
           f(u2) == -1 || !edgeStatus(v, f(u2)).contains(false)
         }
         if (ok) {
-          f(u) = v; used += v
-          val node = newTrie.mkNode(v, parent)
+          f(u) = v
+          newTrie.push(base + k, v)
           if (k == leaves.size - 1) {
             // EC of P_i complete: register its undetermined edges (Def. 4)
             ctx.unitVerifEdges(i).foreach { case (a, b) =>
               if (edgeStatus(f(a), f(b)).isEmpty) evi += PlanCtx.edgeKey(f(a), f(b))
             }
-            newTrie.attach(node); any = true
-          } else if (adjEnum(k + 1, node, pivAdj)) {
-            newTrie.attach(node); any = true
-          }
-          f(u) = -1; used -= v
+            any = true
+          } else if (adjEnum(k + 1, pivAdj)) any = true
+          else newTrie.pop(base + k)
+          f(u) = -1
         }
         ci += 1
       }
@@ -137,39 +145,46 @@ object Phases {
     if (i == 0) {
       val cands = if (g < st.groups.size) st.groups(g) else Vector.empty
       cands.foreach { v =>
-        f(piv) = v; used += v
-        val root = newTrie.mkNode(v, null)
-        if (adjEnum(0, root, block.adj(v))) newTrie.attach(root)
-        f(piv) = -1; used -= v
+        f(piv) = v
+        newTrie.push(0, v)
+        if (!adjEnum(0, block.adj(v))) newTrie.pop(0)
+        f(piv) = -1
       }
     } else {
-      // DFS-copy the old trie; at old leaves that verifyE did not refute,
-      // expand unit i below the copy.
-      def copyExpand(oldNode: EtNode, newParent: EtNode, level: Int): Boolean = {
-        val u    = ctx.morder(level)
-        val leaf = level == st.trie.depth - 1
-        f(u) = oldNode.v
-        if (leaf && ctx.refuted(i - 1, st.failed, f)) { f(u) = -1; return false }
-        used += oldNode.v
-        val copy    = newTrie.mkNode(oldNode.v, newParent)
+      // Depth-first copy of the old trie, with the next unvisited node of each
+      // level as its cursor; at old leaves that verifyE did not refute, expand
+      // unit i below the copy.
+      val old  = st.trie
+      val last = old.depth - 1
+      val next = new Array[Int](old.depth)
+      def copyExpand(level: Int, n: Int): Boolean = {
+        val u = ctx.morder(level)
+        f(u) = old.vertex(level, n)
         var success = false
-        if (leaf) {
-          val vPiv = f(piv)
-          val pivAdj = adjOrNull(vPiv)
-          if (pivAdj != null) {
+        if (level < last || !ctx.refuted(i - 1, st.failed, f)) {
+          newTrie.push(level, f(u))
+          if (level < last) {
+            val c = level + 1
+            while (next(c) < old.levelSize(c) && old.parent(c, next(c)) == n) {
+              if (copyExpand(c, next(c))) success = true
+              next(c) += 1
+            }
+          } else {
+            val vPiv   = f(piv)
+            val pivAdj = adjOrNull(vPiv)
+            if (pivAdj == null)
+              throw new IllegalStateException(s"machine $mid, round $i: no adjacency for pivot vertex $vPiv")
             if (owner(vPiv) != mid && st.cache.contains(vPiv)) cacheHits += 1
-            success = adjEnum(0, copy, pivAdj)
+            success = adjEnum(0, pivAdj)
           }
-          // pivAdj == null can only happen if a fetch failed; drop the branch
-        } else if (oldNode.children != null) {
-          oldNode.children.foreach { c => if (copyExpand(c, copy, level + 1)) success = true }
+          if (!success) newTrie.pop(level)
         }
-        if (success) newTrie.attach(copy)
-        f(u) = -1; used -= oldNode.v
+        f(u) = -1
         success
       }
-      st.trie.roots.foreach(r => copyExpand(r, null, 0))
+      (0 until old.levelSize(0)).foreach(copyExpand(0, _))
     }
+    newTrie.compact()
 
     val stats = st.stats.copy(
       fetchedVertices = st.stats.fetchedVertices + fetched.size,

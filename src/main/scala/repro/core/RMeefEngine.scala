@@ -70,12 +70,12 @@ final case class PlanCtx(
     */
   def foreachUnrefuted(trie: EmbeddingTrie, i: Int, failed: Array[Long])(fn: Array[Int] => Unit): Unit = {
     val f = new Array[Int](pattern.n)
-    def rec(n: EtNode, level: Int): Unit = {
-      f(morder(level)) = n.v
-      if (level == trie.depth - 1) { if (!refuted(i, failed, f)) fn(f) }
-      else if (n.children != null) n.children.foreach(rec(_, level + 1))
+    (0 until trie.levelSize(trie.depth - 1)).foreach { leaf =>
+      var n = leaf
+      var l = trie.depth - 1
+      while (l >= 0) { f(morder(l)) = trie.vertex(l, n); n = trie.parent(l, n); l -= 1 }
+      if (!refuted(i, failed, f)) fn(f)
     }
-    trie.roots.foreach(rec(_, 0))
   }
 }
 
@@ -115,7 +115,9 @@ object PlanCtx {
   * filter only records `failed`, so Spark lineage recomputation is always
   * safe. `evi` holds the undetermined edge keys of the trie's round (Def.
   * 5) until filter; `failed` holds, after filter, those that verifyE
-  * refuted, packed and sorted. Only `trie` holds trie nodes.
+  * refuted, packed and sorted. `trie` is the flat level-array trie of the
+  * current round, so caching the state costs Spark's size estimate a few
+  * arrays, not a walk over every node.
   */
 final class MachineState(
     val mid: Int,

@@ -28,33 +28,39 @@ object RegionGroups {
     val perRoot   = math.max(1.0, estBytesPerRoot)
     val maxPerGrp = math.max(1, (budgetBytes / perRoot).toInt)
     val rng       = new Random(seed)
-    val remaining = mutable.LinkedHashSet.from(candidates)
+    val cands     = candidates.distinct.toArray
+    val adjs      = cands.map(adjOf)
+    // neighbour -> the candidates whose adjacency holds it, once per entry
+    val holders: Map[Int, Array[Int]] =
+      cands.indices.flatMap(c => adjs(c).map(w => (w, c))).groupMap(_._1)(_._2).view.mapValues(_.toArray).toMap
+    val inter     = new Array[Int](cands.length) // |adj(c) ∩ N(rg)|, counted per adjacency entry
+    val remaining = mutable.ArrayBuffer.from(cands.indices) // candidate positions, in input order
     val groups    = mutable.ArrayBuffer[Vector[Int]]()
 
     while (remaining.nonEmpty) {
       // Alg. 3 line 1: a (deterministic) random start vertex
-      val startIdx = rng.nextInt(remaining.size)
-      val start    = remaining.iterator.drop(startIdx).next()
-      remaining -= start
-      val rg     = mutable.ArrayBuffer(start)
-      val nbSet  = mutable.HashSet[Int]()
-      adjOf(start).foreach(nbSet.add)
+      val start = remaining.remove(rng.nextInt(remaining.size))
+      val rg    = mutable.ArrayBuffer(cands(start))
+      val nb    = mutable.HashSet[Int]()
+      def join(c: Int): Unit =
+        adjs(c).foreach(w => if (nb.add(w)) holders.get(w).foreach(_.foreach(h => inter(h) += 1)))
+      join(start)
       // Alg. 3 lines 4–9: grow by max proximity while φ(rg) < Φ
       while (remaining.nonEmpty && rg.size < maxPerGrp) {
-        var best = -1
+        var bestAt   = -1
         var bestProx = -1.0
-        remaining.foreach { v =>
-          val adj = adjOf(v)
-          val inter = if (adj.isEmpty) 0 else adj.count(nbSet.contains)
-          val prox  = if (adj.isEmpty) 0.0 else inter.toDouble / adj.length
-          if (prox > bestProx || (prox == bestProx && (best == -1 || v < best))) {
-            best = v; bestProx = prox
+        remaining.indices.foreach { k =>
+          val c    = remaining(k)
+          val prox = if (adjs(c).isEmpty) 0.0 else inter(c).toDouble / adjs(c).length
+          if (prox > bestProx || (prox == bestProx && cands(c) < cands(remaining(bestAt)))) {
+            bestAt = k; bestProx = prox
           }
         }
-        remaining -= best
-        rg += best
-        adjOf(best).foreach(nbSet.add)
+        val best = remaining.remove(bestAt)
+        rg += cands(best)
+        join(best)
       }
+      nb.foreach(w => holders.get(w).foreach(_.foreach(h => inter(h) = 0)))
       groups += rg.toVector
     }
     groups.toVector

@@ -32,7 +32,8 @@ class PhasesSuite extends AnyFunSuite {
   private def verify(st: MachineState): Set[(Int, Int)] =
     st.eviKeys.filterNot { case (a, b) => g.hasEdge(a, b) }.toSet
 
-  private def paths(t: EmbeddingTrie): Set[Seq[Int]] = t.results.map(_.toSeq).toSet
+  private def paths(t: EmbeddingTrie): Set[Seq[Int]] =
+    (0 until t.resultCount.toInt).map(t.pathOf(_).toSeq).toSet
 
   private def fetch(vs: Set[Int]): Map[Int, Array[Int]] = vs.map(v => v -> g.neighbors(v)).toMap
 
@@ -77,6 +78,22 @@ class PhasesSuite extends AnyFunSuite {
     val unfiltered = Phases.filter(ctx, round0, Set.empty, harvest = false)
     val grown = Phases.expand(ctx, unfiltered, block, fetch(Set(1, 2, 3)), owner, g = 0, i = 1)
     assert(paths(grown.trie).map(_.take(3)).contains(Seq(0, 1, 3)))
+  }
+
+  test("sibling distinctness holds in the expanded tries (Def. 11(3))") {
+    Seq(round0.trie, round1.trie).foreach { t =>
+      (1 until t.depth).foreach { l =>
+        val siblings = (0 until t.levelSize(l)).groupBy(t.parent(l, _)).values
+        siblings.foreach(ns => assert(ns.map(t.vertex(l, _)).distinct.size == ns.size))
+      }
+    }
+  }
+
+  test("a pivot whose adjacency was not fetched fails the expand loudly") {
+    val e = intercept[IllegalStateException](
+      Phases.expand(ctx, filtered0, block, Map.empty, owner, g = 0, i = 1))
+    assert(e.getMessage.contains("machine 0") && e.getMessage.contains("round 1"))
+    assert(e.getMessage.contains("vertex 1"))
   }
 
   test("the harvest omits refuted ECs and equals the reference") {
