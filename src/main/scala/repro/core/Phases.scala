@@ -54,14 +54,15 @@ object Phases {
       smeCandidates = smeCands.length, distCandidates = distCands.length,
       smeEmbeddings = sme.count, regionGroups = groups.size)
     new MachineState(mid, groups, new EmbeddingTrie(1),
-      mutable.LinkedHashSet.empty, Array.emptyLongArray, Map.empty,
+      Array.emptyLongArray, Array.emptyLongArray, Map.empty,
       resultChunks = if (sme.embeddings.nonEmpty) List(sme.embeddings) else Nil,
       stats = stats)
   }
 
   /** Expand (Algorithms 1–2): grow every embedding of P_{i-1} that verifyE
     * did not refute into the ECs of P_i through the pivot's adjacency,
-    * building a fresh trie and the EVI of undetermined edges. For round 0
+    * building a fresh trie and the EVI of undetermined edges (sorted packed
+    * keys, repeats dropped once at the end). For round 0
     * the sources are the region group's candidate vertices. A foreign pivot
     * of an unrefuted EC whose adjacency is neither cached nor in `fetched`
     * is an error, not a pruned branch.
@@ -85,7 +86,7 @@ object Phases {
     val leaves  = ctx.unitLeaves(i)
     val newTrie = new EmbeddingTrie(ctx.depths(i))
     val base    = ctx.depths(i) - leaves.size // trie level of unit i's first leaf
-    val evi     = mutable.LinkedHashSet[(Int, Int)]()
+    val evi     = new mutable.ArrayBuilder.ofLong
     val f       = Array.fill(p.n)(-1)
     var cacheHits = 0L
 
@@ -130,7 +131,7 @@ object Phases {
           if (k == leaves.size - 1) {
             // EC of P_i complete: register its undetermined edges (Def. 4)
             ctx.unitVerifEdges(i).foreach { case (a, b) =>
-              if (edgeStatus(f(a), f(b)).isEmpty) evi += PlanCtx.edgeKey(f(a), f(b))
+              if (edgeStatus(f(a), f(b)).isEmpty) evi += PlanCtx.packedKey(f(a), f(b))
             }
             any = true
           } else if (adjEnum(k + 1, pivAdj)) any = true
@@ -195,25 +196,26 @@ object Phases {
       sumElBytes = st.stats.sumElBytes + newTrie.elBytes,
       peakEtBytes = math.max(st.stats.peakEtBytes, newTrie.etBytes),
       peakElBytes = math.max(st.stats.peakElBytes, newTrie.elBytes))
-    new MachineState(mid, st.groups, newTrie, evi, Array.emptyLongArray, cache, st.resultChunks, stats)
+    new MachineState(mid, st.groups, newTrie, PlanCtx.sortedDistinct(evi.result()), Array.emptyLongArray,
+      cache, st.resultChunks, stats)
   }
 
   /** Verify & filter (Prop. 2) without a rebuild: the trie is kept as it is
-    * and the failed undetermined edges are recorded, so the next round's
-    * copy, its fetch requests and the harvest skip every refuted EC
-    * ([[PlanCtx.refuted]]). On the final round, harvest the surviving
-    * embeddings into a result chunk.
+    * and `failed`, the EVI keys that verifyE refuted (sorted
+    * [[PlanCtx.packedKey]]s, see [[MachineState.failedKeys]]), is recorded,
+    * so the next round's copy, its fetch requests and the harvest skip
+    * every refuted EC ([[PlanCtx.refuted]]). On the final round, harvest the
+    * surviving embeddings into a result chunk.
     */
   def filter(
       ctx: PlanCtx,
       st: MachineState,
-      failedEdges: Set[(Int, Int)],
+      failed: Array[Long],
       harvest: Boolean): MachineState = {
 
-    val failed   = failedEdges.iterator.map { case (a, b) => PlanCtx.packedKey(a, b) }.toArray.sorted
-    val verified = st.stats.copy(verifyEdges = st.stats.verifyEdges + st.evi.size)
+    val verified = st.stats.copy(verifyEdges = st.stats.verifyEdges + st.evi.length)
     if (!harvest)
-      new MachineState(st.mid, st.groups, st.trie, mutable.LinkedHashSet.empty, failed,
+      new MachineState(st.mid, st.groups, st.trie, Array.emptyLongArray, failed,
         st.cache, st.resultChunks, verified)
     else {
       val round = ctx.depths.indexOf(st.trie.depth)
@@ -221,8 +223,12 @@ object Phases {
       ctx.foreachUnrefuted(st.trie, round, failed)(f => harvested += f.clone())
       val chunk = harvested.result()
       val stats = verified.copy(distEmbeddings = verified.distEmbeddings + chunk.size)
-      new MachineState(st.mid, st.groups, new EmbeddingTrie(1), mutable.LinkedHashSet.empty,
+      new MachineState(st.mid, st.groups, new EmbeddingTrie(1), Array.emptyLongArray,
         Array.emptyLongArray, st.cache, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
     }
   }
+
+  /** [[filter]] with the failed keys as (a, b) pairs, for callers outside the engine. */
+  def filter(ctx: PlanCtx, st: MachineState, failedEdges: Set[(Int, Int)], harvest: Boolean): MachineState =
+    filter(ctx, st, PlanCtx.sortedDistinct(failedEdges.iterator.map((PlanCtx.packedKey _).tupled).toArray), harvest)
 }

@@ -26,6 +26,19 @@ final class MidPartitioner(m: Int) extends Partitioner {
 final case class AdjBlock(mid: Int, adj: Map[Int, Array[Int]]) {
   def hasEdge(a: Int, b: Int): Boolean =
     adj.get(a).exists(nb => java.util.Arrays.binarySearch(nb, b) >= 0)
+
+  /** The adjacency of `v`, which this machine must own: a `fetchV` or
+    * `verifyE` request for any other vertex was misrouted, and answering it
+    * would silently lose or refute ECs.
+    */
+  def adjOf(v: Int): Array[Int] =
+    adj.getOrElse(v, throw new IllegalStateException(s"machine $mid does not own vertex $v"))
+
+  /** The `verifyE` answer to a batch of [[PlanCtx.packedKey]]s whose smaller
+    * endpoints this machine owns: the keys that are data edges, in order.
+    */
+  def existing(keys: Array[Long]): Array[Long] =
+    keys.filter(k => java.util.Arrays.binarySearch(adjOf(PlanCtx.smaller(k)), PlanCtx.larger(k)) >= 0)
 }
 
 /** Static, serializable context shared by all R-Meef phases. */
@@ -80,14 +93,25 @@ final case class PlanCtx(
 }
 
 object PlanCtx {
-  /** Undirected data-edge key: (smaller, larger). */
-  def edgeKey(a: Int, b: Int): (Int, Int) = (math.min(a, b), math.max(a, b))
-
-  /** The same key packed into one Long. `failed` keeps these in a sorted
-    * array: one object for Spark's size estimate of the cached state, and
-    * a lookup per EC that allocates nothing.
+  /** Undirected data-edge key, (smaller, larger) packed into one Long. The
+    * EVI and `failed` keep these in sorted arrays: one object for Spark's
+    * size estimate of the cached state, a lookup per EC that allocates
+    * nothing, and one `verifyE` record per machine pair.
     */
   def packedKey(a: Int, b: Int): Long = (math.min(a, b).toLong << 32) | math.max(a, b)
+  /** The endpoints of a [[packedKey]]. */
+  def smaller(key: Long): Int = (key >>> 32).toInt
+  def larger(key: Long): Int  = key.toInt
+
+  /** Sorts `keys` in place and returns them without repeats: `keys` itself
+    * if it had none, else a trimmed copy.
+    */
+  def sortedDistinct(keys: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(keys)
+    var n = 0
+    keys.foreach { k => if (n == 0 || keys(n - 1) != k) { keys(n) = k; n += 1 } }
+    if (n == keys.length) keys else java.util.Arrays.copyOf(keys, n)
+  }
 
   def apply(plan: ExecutionPlan, sb: Vector[(Int, Int)]): PlanCtx = {
     val p      = plan.pattern
@@ -115,15 +139,16 @@ object PlanCtx {
   * filter only records `failed`, so Spark lineage recomputation is always
   * safe. `evi` holds the undetermined edge keys of the trie's round (Def.
   * 5) until filter; `failed` holds, after filter, those that verifyE
-  * refuted, packed and sorted. `trie` is the flat level-array trie of the
-  * current round, so caching the state costs Spark's size estimate a few
-  * arrays, not a walk over every node.
+  * refuted. Both are sorted [[PlanCtx.packedKey]]s without repeats.
+  * `trie` is the flat level-array trie of the current round, so caching
+  * the state costs Spark's size estimate a few arrays, not a walk over
+  * every node.
   */
 final class MachineState(
     val mid: Int,
     val groups: Vector[Vector[Int]],
     val trie: EmbeddingTrie,
-    val evi: mutable.LinkedHashSet[(Int, Int)],
+    val evi: Array[Long],
     val failed: Array[Long],
     val cache: Map[Int, Array[Int]],
     val resultChunks: List[Vector[Array[Int]]],
@@ -143,7 +168,30 @@ final class MachineState(
     out.iterator
   }
 
-  def eviKeys: Iterator[(Int, Int)] = evi.iterator
+  /** The EVI split by the owner of each key's smaller endpoint: one sorted,
+    * non-empty batch per machine to ask — the paper's batched verifyE
+    * request (§3.2 Verify).
+    */
+  def eviByOwner(owner: Array[Int], m: Int): Seq[(Int, Array[Long])] = {
+    val batches = Array.fill(m)(new mutable.ArrayBuilder.ofLong)
+    evi.foreach(k => batches(owner(PlanCtx.smaller(k))) += k)
+    batches.indices.map(t => (t, batches(t).result())).filter(_._2.nonEmpty)
+  }
+
+  /** The failed keys: the EVI minus the keys that verifyE `confirmed`,
+    * sorted. A confirmed key outside the EVI is a misrouted answer.
+    */
+  def failedKeys(confirmed: Array[Long]): Array[Long] = {
+    confirmed.foreach { k =>
+      if (java.util.Arrays.binarySearch(evi, k) < 0)
+        throw new IllegalStateException(s"machine $mid: confirmed edge (${PlanCtx.smaller(k)}, ${PlanCtx.larger(k)}) is not in its EVI")
+    }
+    val sorted = confirmed.sorted
+    evi.filter(k => java.util.Arrays.binarySearch(sorted, k) < 0)
+  }
+
+  /** The EVI as (smaller, larger) pairs, for callers outside the engine. */
+  def eviKeys: Iterator[(Int, Int)] = evi.iterator.map(k => (PlanCtx.smaller(k), PlanCtx.larger(k)))
 }
 
 /** Result of one RADS run. */
@@ -219,7 +267,7 @@ object RMeefEngine {
           }
           reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
             val block = aIter.next()._2
-            rIter.map { case (_, (reqMid, v)) => (reqMid, (v, block.adj.getOrElse(v, Array.empty[Int]))) }
+            rIter.map { case (_, (reqMid, v)) => (reqMid, (v, block.adjOf(v))) }
           }.partitionBy(part)
         }
 
@@ -233,20 +281,21 @@ object RMeefEngine {
         })
 
       // -- verifyE cycle + filter (and harvest on the final round) --
-      val verResp: RDD[(Int, ((Int, Int), Boolean))] = {
+      // one batch of keys per (requester, owner) pair; answered with the keys that exist
+      val verResp: RDD[(Int, Array[Long])] = {
         val reqs = state.flatMap { case (mid, st) =>
-          st.eviKeys.map { case (a, b) => (ownerBc.value(a), (mid, a, b)) }
+          st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
         }
         reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
           val block = aIter.next()._2
-          rIter.map { case (_, (reqMid, a, b)) => (reqMid, ((a, b), block.hasEdge(a, b))) }
+          rIter.map { case (_, (reqMid, keys)) => (reqMid, block.existing(keys)) }.filter(_._2.nonEmpty)
         }.partitionBy(part)
       }
       val lastRound = i == ctx.numRounds - 1
       state = materialize(
         state.zipPartitions(verResp) { (sIter, rIter) =>
           val (mid, st) = sIter.next()
-          val failed = rIter.collect { case (_, (key, exists)) if !exists => key }.toSet
+          val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
           Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
         })
     }

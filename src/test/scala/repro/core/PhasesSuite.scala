@@ -50,6 +50,8 @@ class PhasesSuite extends AnyFunSuite {
     assert(paths(round0.trie) == Set(Seq(0, 1, 2), Seq(0, 1, 3), Seq(0, 2, 1), Seq(0, 2, 3),
       Seq(0, 3, 1), Seq(0, 3, 2)))
     assert(round0.eviKeys.toSet == Set((1, 2), (1, 3), (2, 3)))
+    // (1, 2) is registered by both (0, 1, 2) and (0, 2, 1), and kept once
+    assert(round0.evi.toSeq == Seq(PlanCtx.packedKey(1, 2), PlanCtx.packedKey(1, 3), PlanCtx.packedKey(2, 3)))
     assert(failed0 == Set((1, 3), (2, 3)))
   }
 
@@ -63,7 +65,7 @@ class PhasesSuite extends AnyFunSuite {
   test("pendingFetch omits pivots that only refuted ECs need") {
     // u1 = 3 only in the refuted ECs (0, 3, 1) and (0, 3, 2)
     assert(filtered0.pendingFetch(ctx, 1, owner).toSet == Set(1, 2))
-    val unfiltered = Phases.filter(ctx, round0, Set.empty, harvest = false)
+    val unfiltered = Phases.filter(ctx, round0, Set.empty[(Int, Int)], harvest = false)
     assert(unfiltered.pendingFetch(ctx, 1, owner).toSet == Set(1, 2, 3))
   }
 
@@ -75,7 +77,7 @@ class PhasesSuite extends AnyFunSuite {
     // 0, 1, 2, then 5, 6, 7 and six leaves: no ancestor of a refuted EC alone
     assert(round1.trie.nodeCount == 12)
     // Without the failed keys, (0, 1, 3) would grow below the same fetched pivot.
-    val unfiltered = Phases.filter(ctx, round0, Set.empty, harvest = false)
+    val unfiltered = Phases.filter(ctx, round0, Set.empty[(Int, Int)], harvest = false)
     val grown = Phases.expand(ctx, unfiltered, block, fetch(Set(1, 2, 3)), owner, g = 0, i = 1)
     assert(paths(grown.trie).map(_.take(3)).contains(Seq(0, 1, 3)))
   }
