@@ -17,8 +17,8 @@ import scala.collection.mutable
 object JoinEnum {
 
   /** Extend `start` (columns `v{u}` for `mapped` vertices) to the full
-    * pattern, one vertex per step. Used by JoinEnum itself, and by Crystal
-    * to grow from an index-seeded clique.
+    * pattern, one vertex per step. Used by JoinEnum itself, by PSgL, and by
+    * Crystal to grow from an index-seeded clique.
     *
     * @param onStep called with the intermediate DataFrame after each
     *               expansion step (for counting shuffled intermediates)

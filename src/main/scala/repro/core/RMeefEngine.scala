@@ -7,10 +7,12 @@ import org.apache.spark.storage.StorageLevel
 import repro.graph.PartitionedGraph
 import repro.query.{ExecutionPlan, Pattern}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Routes machine-id keys to their own partition: machine t == partition t.
-  * This is what keeps every cogroup against the per-machine state narrow —
-  * the paper's "no shuffle of intermediate results" invariant.
+  * This is what lets the engine zip the per-machine state with the adjacency
+  * blocks and the answers without a shuffle — the paper's "no shuffle of
+  * intermediate results" invariant.
   */
 final class MidPartitioner(m: Int) extends Partitioner {
   override def numPartitions: Int = m
@@ -203,25 +205,21 @@ final case class RadsRun(
 
 /** The R-Meef dataflow (§3.2, Appendix B) on Spark.
   *
-  * Layout: `m` logical machines == `m` RDD partitions. Per-machine state
-  * (embedding trie, EVI, foreign-vertex cache) lives in an
-  * `RDD[(mid, MachineState)]` partitioned by [[MidPartitioner]]; the
-  * adjacency blocks live in a co-partitioned `RDD[(mid, AdjBlock)]`. Each
-  * round performs at most two small shuffles — the `fetchV` and `verifyE`
-  * request/response cycles — while the intermediate results never move,
-  * which is the paper's central claim against the join-based systems.
+  * Layout: `m` logical machines == `m` RDD partitions, and machine t is
+  * partition t ([[MidPartitioner]]). Per-machine state (embedding trie, EVI,
+  * foreign-vertex cache) lives in an `RDD[(mid, MachineState)]` and the
+  * adjacency blocks in an `RDD[(mid, AdjBlock)]` with the same partitioner,
+  * so the two are zipped partition by partition. A round runs one expand,
+  * then one request/response cycle for `verifyE`, and before the expand of
+  * every round but the first one for `fetchV`; each cycle shuffles the
+  * requests to their owners and the answers back. The intermediate results
+  * never move, which is the paper's central claim against the join-based
+  * systems.
   */
 object RMeefEngine {
 
-  def run(
-      spark: SparkSession,
-      pg: PartitionedGraph,
-      ctx: PlanCtx,
-      plan: ExecutionPlan,
-      budgetBytes: Double = 4L << 20,
-      smeEnabled: Boolean = true,
-      keepEmbeddings: Boolean = true,
-      seed: Long = 99): RadsRun = {
+  def run(spark: SparkSession, pg: PartitionedGraph, ctx: PlanCtx, plan: ExecutionPlan,
+          cfg: Rads.Config): RadsRun = {
 
     val sc  = spark.sparkContext
     val m   = pg.m
@@ -229,24 +227,27 @@ object RMeefEngine {
     val part = new MidPartitioner(m)
     val ownerBc = sc.broadcast(pg.owner)
 
+    // shuffled once so that tasks zipping with it read the cached blocks; a
+    // parallelized RDD would ship its machine's block inside every such task
     val adjRdd: RDD[(Int, AdjBlock)] = sc
       .parallelize((0 until m).map(t => (t, AdjBlock(t, pg.adjBlock(t)))), m)
       .partitionBy(part)
       .persist(StorageLevel.MEMORY_ONLY)
-    adjRdd.count()
 
-    def emptyResp[T: scala.reflect.ClassTag]: RDD[(Int, T)] =
-      sc.parallelize(Seq.empty[(Int, T)], m).partitionBy(part)
+    /** Sends each request `(owner, (requester, q))` to its owner, answers it
+      * there from the owner's block, and sends every answer back to its
+      * requester.
+      */
+    def exchange[Q, A: ClassTag](reqs: RDD[(Int, (Int, Q))])(serve: (AdjBlock, Q) => Iterator[A]): RDD[(Int, A)] =
+      reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
+        val block = aIter.next()._2
+        rIter.flatMap { case (_, (reqMid, q)) => serve(block, q).map(a => (reqMid, a)) }
+      }.partitionBy(part)
 
     // ---- init: candidates, border distance, SM-E, region groups ----
-    var state: RDD[(Int, MachineState)] = sc
-      .parallelize((0 until m).map(t => (t, t)), m)
-      .partitionBy(part)
-      .zipPartitions(adjRdd) { (tIter, aIter) =>
-        val mid   = tIter.next()._1
-        val block = aIter.next()._2
-        Iterator((mid, Phases.init(ctx, mid, block, ownerBc.value, budgetBytes, smeEnabled, seed)))
-      }
+    var state: RDD[(Int, MachineState)] = adjRdd
+      .mapValues(block =>
+        Phases.init(ctx, block.mid, block, ownerBc.value, cfg.budgetBytes, cfg.smeEnabled, cfg.seed))
       .persist(StorageLevel.MEMORY_ONLY)
     val maxGroups = state.map(_._2.groups.size).reduce(math.max)
 
@@ -258,39 +259,29 @@ object RMeefEngine {
     }
 
     for (g <- 0 until maxGroups; i <- 0 until ctx.numRounds) {
-      // -- fetchV cycle (rounds > 0; round 0 pivots are local by construction) --
-      val fetchResp: RDD[(Int, (Int, Array[Int]))] =
-        if (i == 0) emptyResp[(Int, Array[Int])]
-        else {
-          val reqs = state.flatMap { case (mid, st) =>
-            st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
-          }
-          reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
-            val block = aIter.next()._2
-            rIter.map { case (_, (reqMid, v)) => (reqMid, (v, block.adjOf(v))) }
-          }.partitionBy(part)
-        }
-
       // -- expand: build ECs of P_i into a fresh trie + EVI --
+      def expand(sIter: Iterator[(Int, MachineState)], aIter: Iterator[(Int, AdjBlock)],
+                 fetched: Map[Int, Array[Int]]): Iterator[(Int, MachineState)] = {
+        val (mid, st) = sIter.next()
+        Iterator((mid, Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)))
+      }
+      // round 0 pivots are local by construction, so only later rounds fetchV
       state = materialize(
-        state.zipPartitions(adjRdd, fetchResp) { (sIter, aIter, rIter) =>
-          val (mid, st) = sIter.next()
-          val block     = aIter.next()._2
-          val fetched   = rIter.map { case (_, (v, nb)) => v -> nb }.toMap
-          Iterator((mid, Phases.expand(ctx, st, block, fetched, ownerBc.value, g, i)))
+        if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Map.empty))
+        else {
+          val fetchResp = exchange(state.flatMap { case (mid, st) =>
+            st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
+          })((block, v) => Iterator((v, block.adjOf(v))))
+          state.zipPartitions(adjRdd, fetchResp)((sIter, aIter, rIter) =>
+            expand(sIter, aIter, rIter.map(_._2).toMap))
         })
 
-      // -- verifyE cycle + filter (and harvest on the final round) --
-      // one batch of keys per (requester, owner) pair; answered with the keys that exist
-      val verResp: RDD[(Int, Array[Long])] = {
-        val reqs = state.flatMap { case (mid, st) =>
-          st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
-        }
-        reqs.partitionBy(part).zipPartitions(adjRdd) { (rIter, aIter) =>
-          val block = aIter.next()._2
-          rIter.map { case (_, (reqMid, keys)) => (reqMid, block.existing(keys)) }.filter(_._2.nonEmpty)
-        }.partitionBy(part)
-      }
+      // -- verifyE + filter (and harvest on the final round) --
+      // one batch of keys per (requester, owner) pair; answered with the keys
+      // that exist, and an empty answer is not sent
+      val verResp = exchange(state.flatMap { case (mid, st) =>
+        st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
+      })((block, keys) => Iterator(block.existing(keys)).filter(_.nonEmpty))
       val lastRound = i == ctx.numRounds - 1
       state = materialize(
         state.zipPartitions(verResp) { (sIter, rIter) =>
@@ -303,7 +294,7 @@ object RMeefEngine {
     // ---- gather ----
     val resultsRdd = state.flatMap(_._2.resultChunks.iterator.flatten)
     val count      = resultsRdd.count()
-    val embeddings = if (keepEmbeddings) resultsRdd.collect().toVector else Vector.empty
+    val embeddings = if (cfg.keepEmbeddings) resultsRdd.collect().toVector else Vector.empty
     val stats      = state.map(_._2.stats).reduce(_ + _)
     state.unpersist(blocking = false)
     adjRdd.unpersist(blocking = false)

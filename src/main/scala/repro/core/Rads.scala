@@ -32,9 +32,7 @@ object Rads {
     val plan = cfg.plan.getOrElse(Planner.bestPlan(pattern, cfg.rho))
     val sb   = Automorphism.symmetryBreaking(pattern)
     val ctx  = PlanCtx(plan, sb)
-    RMeefEngine.run(spark, pg, ctx, plan,
-      budgetBytes = cfg.budgetBytes, smeEnabled = cfg.smeEnabled,
-      keepEmbeddings = cfg.keepEmbeddings, seed = cfg.seed)
+    RMeefEngine.run(spark, pg, ctx, plan, cfg)
   }
 
   /** Canonical embedding DataFrame: column `v{i}` = data vertex matched to

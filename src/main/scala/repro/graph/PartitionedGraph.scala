@@ -16,10 +16,6 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
   require(owner.length == graph.n, "owner map must cover all vertices")
   require(owner.forall(t => t >= 0 && t < m), "owner out of range")
 
-  def ownerOf(v: Int): Int = owner(v)
-
-  def isLocal(v: Int, machine: Int): Boolean = owner(v) == machine
-
   /** Border test: some neighbor lives on a different machine. */
   def isBorder(v: Int): Boolean = {
     val t  = owner(v)
@@ -64,12 +60,6 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
     import spark.implicits._
     val both = graph.edges.flatMap { case (a, b) => Iterator((a, b), (b, a)) }.toSeq
     spark.createDataset(both).toDF("src", "dst")
-  }
-
-  /** Adjacency-list DataFrame (vid, neighbors) — the PSgL expansion input. */
-  def adjDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.createDataset((0 until graph.n).map(v => (v, graph.neighbors(v).toSeq))).toDF("vid", "nbrs")
   }
 }
 

@@ -76,9 +76,6 @@ final case class ExecutionPlan(pattern: Pattern, units: Vector[DecompUnit]) {
       verificationEdges(i).size / math.pow(i + 1, rho) + p.degree(units(i).piv).toDouble / (i + 1)
     }.sum
 
-  /** First unit index whose leaf set contains u; -1 if u is only dp0.piv. */
-  private def leafUnitOf(u: Int): Int = units.indexWhere(_.leaves.contains(u))
-
   /** First unit index that u pivots; -1 if none. */
   private def pivotUnitOf(u: Int): Int = units.indexWhere(_.piv == u)
 

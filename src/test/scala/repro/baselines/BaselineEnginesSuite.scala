@@ -83,6 +83,21 @@ class BaselineEnginesSuite extends SparkSpec {
     run.df.unpersist()
   }
 
+  test("PSgL's count and shuffled tuples and bytes are pinned on q1-q8") {
+    // (count, shuffledTuples, shuffledBytes) per query on this graph and partition
+    val want = Map(
+      "q1" -> (96L, 625L, 14808L), "q2" -> (291L, 594L, 14664L),
+      "q3" -> (340L, 2425L, 75128L), "q4" -> (172L, 649L, 19720L),
+      "q5" -> (1462L, 2754L, 109424L), "q6" -> (1258L, 9451L, 366232L),
+      "q7" -> (39L, 739L, 19680L), "q8" -> (442L, 3469L, 113944L))
+    val got = Queries.main.map { q =>
+      val run = PSgL.run(spark, pg, q, Automorphism.symmetryBreaking(q))
+      run.df.unpersist()
+      q.name -> (run.count, run.metrics.shuffledTuples, run.metrics.shuffledBytes)
+    }.toMap
+    assert(got == want)
+  }
+
   test("Crystal index holds exactly the graph's triangles") {
     assert(index.triangles.length == g.triangleCount)
     index.triangles.foreach { case (a, b, c) =>

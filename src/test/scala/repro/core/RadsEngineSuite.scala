@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.StageCounter
 import repro.SparkSpec
 import repro.graph.{GraphGen, PartitionedGraph}
 import repro.query.{Automorphism, Queries}
@@ -68,6 +69,22 @@ class RadsEngineSuite extends SparkSpec {
     val m   = run.metrics.machines
     assert(m.smeCandidates > m.distCandidates,
       s"sme=${m.smeCandidates} dist=${m.distCandidates}")
+  }
+
+  test("one region group per machine over 2 rounds runs 14 stages, count-only") {
+    val pg = PartitionedGraph.metis(pl, 4, seed = 2)
+    val q  = Queries.q4
+    val (stages, run) = StageCounter.around(spark.sparkContext)(
+      Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = 1e9, keepEmbeddings = false)))
+    assert(run.count == LocalEnum.reference(q, pl, Automorphism.symmetryBreaking(q)).count)
+    assert(run.metrics.rounds == 2)
+    // Φ = 1 GB puts each machine's distributed candidates in one group
+    assert(run.metrics.machines.regionGroups >= 1 && run.metrics.machines.regionGroups <= pg.m)
+    val init   = 2 // ship the adjacency blocks to their machines; init + the group count
+    val round0 = 1 + 3 // expand; verifyE requests to owners, answers back, filter
+    val round1 = 3 + 3 // fetchV requests to owners, answers back, expand; then verifyE as in round 0
+    val gather = 2 // result count; stats
+    assert(stages == init + round0 + round1 + gather)
   }
 
   test("disabling SM-E still yields exact results (ablation)") {
