@@ -1,17 +1,27 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.query.{Planner, Queries}
 
-/** Appendix C.2 (Figure 13) shape: the §4-optimized execution plan vs the
-  * RanS / RanM baseline plans.
+/** Appendix C.2 (Figure 13) shape: RADS's execution plan and the paper's
+  * §4 plan vs the RanS / RanM baseline plans.
   */
 class PlanEffectiveness extends SparkSpec {
 
   lazy val rows: Seq[BenchTables.PlanRow] = BenchTables.planEffectiveness(spark)
 
-  test("all queries measured for all three plan strategies") {
+  test("on the bench graphs the data key changes only q4's plan") {
+    BenchData.names.foreach { ds =>
+      val counts = BenchData.graph(ds).degreeCounts
+      Queries.main.foreach { q =>
+        assert((Planner.dataPlan(q, counts) != Planner.bestPlan(q)) == (q == Queries.q4), s"$ds/${q.name}")
+      }
+    }
+  }
+
+  test("all queries measured for all four plan strategies") {
     assert(rows.map(_.query).distinct == Seq("q4", "q5", "q6", "q7", "q8"))
-    assert(rows.map(_.plan).distinct.toSet == Set("RADS", "RanM", "RanS"))
+    assert(rows.map(_.plan).distinct.toSet == Set("RADS", "paper", "RanM", "RanS"))
   }
 
   test("every plan variant returns identical result counts") {

@@ -11,10 +11,19 @@ import repro.query.{Automorphism, ExecutionPlan, Pattern, Planner}
   */
 object Rads {
 
-  /** @param budgetBytes  Φ — the per-region-group memory budget (§6)
-    * @param smeEnabled   disable to force every candidate through R-Meef
-    *                     (ablation; §3.1 split on by default)
-    * @param plan         optional plan override (RanS / RanM experiments)
+  /** @param budgetBytes    Φ — the per-region-group memory budget (§6)
+    * @param smeEnabled     disable to force every candidate through R-Meef
+    *                       (ablation; §3.1 split on by default)
+    * @param rho            the exponent ρ of the round weight in the SC
+    *                       scores (eqs. 3–4) the planner ranks plans by
+    * @param seed           seeds the start draws of region grouping (Alg. 3)
+    * @param keepEmbeddings collect the embeddings into `RadsRun.embeddings`;
+    *                       when false the run only counts them
+    * @param plan           the execution plan to run. `None` runs
+    *                       `Planner.dataPlan` on the data graph's degree
+    *                       sequence; `Some(Planner.bestPlan(q))` runs the
+    *                       paper's plan, `Some(Planner.ranS/ranM(q, s))`
+    *                       the App. C.2 baselines
     */
   final case class Config(
       budgetBytes: Double = (4L << 20).toDouble,
@@ -29,7 +38,7 @@ object Rads {
       pg: PartitionedGraph,
       pattern: Pattern,
       cfg: Config = Config()): RadsRun = {
-    val plan = cfg.plan.getOrElse(Planner.bestPlan(pattern, cfg.rho))
+    val plan = cfg.plan.getOrElse(Planner.dataPlan(pattern, pg.graph.degreeCounts, cfg.rho))
     val sb   = Automorphism.symmetryBreaking(pattern)
     val ctx  = PlanCtx(plan, sb)
     RMeefEngine.run(spark, pg, ctx, plan, cfg)

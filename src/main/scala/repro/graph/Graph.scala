@@ -23,6 +23,15 @@ final class Graph private (val adj: Array[Array[Int]]) extends Serializable {
 
   def degree(v: Int): Int = adj(v).length
 
+  /** Degree histogram: `degreeCounts(d)` vertices have degree d; its length
+    * is the maximum degree plus one.
+    */
+  lazy val degreeCounts: Array[Long] = {
+    val counts = new Array[Long](if (n == 0) 1 else adj.iterator.map(_.length).max + 1)
+    adj.foreach(nb => counts(nb.length) += 1)
+    counts
+  }
+
   def neighbors(v: Int): Array[Int] = adj(v)
 
   /** Edge test via binary search over the sorted adjacency of `a`. */

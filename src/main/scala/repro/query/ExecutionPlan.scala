@@ -112,8 +112,10 @@ final case class ExecutionPlan(pattern: Pattern, units: Vector[DecompUnit]) {
 
 /** Computes execution plans per §4: minimum rounds via minimum connected
   * dominating sets (Thm. 1), tie-broken by the span of dp0.piv (§4.2) and
-  * the SC scores (§4.3, eqs. 3–4). Also provides the App. C.2 baselines
-  * RanS (random stars) and RanM (min-round, otherwise random).
+  * the SC scores (§4.3, eqs. 3–4). `dataPlan` adds one key from the data
+  * graph's degree sequence before the SC scores (DESIGN.md D9). Also
+  * provides the App. C.2 baselines RanS (random stars) and RanM (min-round,
+  * otherwise random).
   */
 object Planner {
 
@@ -219,14 +221,44 @@ object Planner {
     out.toVector
   }
 
-  /** The RADS plan: min rounds → min span of dp0.piv → max eq.3 score →
-    * max eq.4 score → deterministic tiebreak.
+  /** The paper's plan: min rounds → min span of dp0.piv → max eq.3 score →
+    * max eq.4 score → deterministic tiebreak. It sees the pattern only;
+    * `Rads.enumerate` runs [[dataPlan]] unless given a plan.
     */
   def bestPlan(p: Pattern, rho: Double = 1.0): ExecutionPlan = {
     val cands = candidatePlans(p)
     require(cands.nonEmpty, s"no candidate plan for ${p.name}")
     cands.minBy(pl =>
       (pl.numRounds, p.span(pl.units.head.piv), -pl.score3(rho), -pl.score4(rho), pl.toString))
+  }
+
+  /** The round-0 EC count the degree sequence fixes: every data vertex of
+    * degree at least deg_P(dp0.piv) is a start candidate, and each ordered
+    * k-tuple of its distinct neighbours is one EC, for k = |dp0.leaves|.
+    * Round 0 is the only round no earlier verification has pruned.
+    * `degreeCounts(d)` is the number of data vertices of degree d
+    * (`Graph.degreeCounts`). Saturates at `Long.MaxValue`.
+    */
+  def round0Ecs(pl: ExecutionPlan, degreeCounts: Array[Long]): Long = {
+    val k = pl.units.head.leaves.size
+    // d ≥ deg_P(dp0.piv) ≥ k, so every factor d − j is positive
+    def ecsAt(d: Int): Long =
+      (0 until k).foldLeft(degreeCounts(d))((t, j) => Math.multiplyExact(t, (d - j).toLong))
+    try (pl.pattern.degree(pl.units.head.piv) until degreeCounts.length)
+      .foldLeft(0L)((sum, d) => Math.addExact(sum, ecsAt(d)))
+    catch { case _: ArithmeticException => Long.MaxValue }
+  }
+
+  /** The plan `Rads.enumerate` runs by default: min rounds → min span of
+    * dp0.piv → min round-0 ECs on the data graph → max eq.3 score → max
+    * eq.4 score → deterministic tiebreak. `bestPlan` is the same order
+    * without the data key.
+    */
+  def dataPlan(p: Pattern, degreeCounts: Array[Long], rho: Double = 1.0): ExecutionPlan = {
+    val cands = candidatePlans(p)
+    require(cands.nonEmpty, s"no candidate plan for ${p.name}")
+    cands.minBy(pl => (pl.numRounds, p.span(pl.units.head.piv), round0Ecs(pl, degreeCounts),
+      -pl.score3(rho), -pl.score4(rho), pl.toString))
   }
 
   /** App. C.2 baseline RanS: random star decomposition, no size limit. */

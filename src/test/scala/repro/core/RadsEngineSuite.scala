@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.StageCounter
 import repro.SparkSpec
 import repro.graph.{GraphGen, PartitionedGraph}
-import repro.query.{Automorphism, Queries}
+import repro.query.{Automorphism, Planner, Queries}
 
 /** RADS (SM-E + R-Meef) vs the single-machine ground truth, across
   * partitioners, machine counts and memory budgets.
@@ -134,9 +134,27 @@ class RadsEngineSuite extends SparkSpec {
     val pg = PartitionedGraph.metis(pl, 3, seed = 10)
     val q  = Queries.q4
     (1L to 3L).foreach { s =>
-      check("pl-ranS", pl, pg, q, Rads.Config(plan = Some(repro.query.Planner.ranS(q, s))))
-      check("pl-ranM", pl, pg, q, Rads.Config(plan = Some(repro.query.Planner.ranM(q, s))))
+      check("pl-ranS", pl, pg, q, Rads.Config(plan = Some(Planner.ranS(q, s))))
+      check("pl-ranM", pl, pg, q, Rads.Config(plan = Some(Planner.ranM(q, s))))
     }
+  }
+
+  test("every minimum-round q4 plan returns the reference result set, metis and hash, m=4") {
+    val q     = Queries.q4
+    val plans = Planner.candidatePlans(q)
+    assert(plans.size == 8)
+    Seq("pl" -> PartitionedGraph.metis(pl, 4, seed = 2), "pl-hash" -> PartitionedGraph.hashed(pl, 4))
+      .foreach { case (gName, pg) =>
+        plans.foreach(plan => check(s"$gName $plan", pl, pg, q, Rads.Config(plan = Some(plan))))
+      }
+  }
+
+  test("with no plan given, Rads.enumerate runs the data-aware plan") {
+    val q   = Queries.q4
+    val run = Rads.enumerate(spark, PartitionedGraph.metis(pl, 4, seed = 2), q,
+      Rads.Config(keepEmbeddings = false))
+    assert(run.plan == Planner.dataPlan(q, pl.degreeCounts))
+    assert(run.plan != Planner.bestPlan(q))
   }
 
   test("metis vs hash: same results, metis needs less communication") {

@@ -1,8 +1,18 @@
 package repro.query
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.{Graph, GraphGen}
 
 class PlanSuite extends AnyFunSuite {
+
+  private def checkProp(p: Prop): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), p)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** The power-law graph the engine suites run on. */
+  private val pl: Graph = GraphGen.powerLaw(150, 3, 24, seed = 2)
 
   /** The running-example pattern of Figure 2(a), reconstructed from
     * Examples 3–5: star edges of the units plus the MLST-erased edges
@@ -172,5 +182,55 @@ class PlanSuite extends AnyFunSuite {
     val best = Planner.bestPlan(q).numRounds
     val avg  = (1L to 20L).map(s => Planner.ranS(q, s).numRounds).sum / 20.0
     assert(avg >= best, s"avg RanS rounds $avg vs best $best")
+  }
+
+  /** Ordered k-tuples of distinct neighbours of v, by enumeration. */
+  private def orderedTuples(g: Graph, v: Int, k: Int): Long = {
+    def rec(used: List[Int]): Long =
+      if (used.size == k) 1L
+      else g.neighbors(v).iterator.filterNot(used.contains).map(w => rec(w :: used)).sum
+    rec(Nil)
+  }
+
+  test("property: round0Ecs counts the ordered distinct neighbour tuples of every start candidate") {
+    val plans = (Queries.main ++ Queries.cliquey).flatMap(Planner.candidatePlans(_))
+    val gen = for {
+      n    <- Gen.choose(1, 12)
+      m    <- Gen.choose(0, 30)
+      seed <- Gen.choose(0L, 1000L)
+      plan <- Gen.oneOf(plans)
+    } yield (GraphGen.gnm(n, m, seed), plan)
+    checkProp(Prop.forAll(gen) { case (g, plan) =>
+      val u0 = plan.units.head
+      val expected = (0 until g.n).filter(g.degree(_) >= plan.pattern.degree(u0.piv))
+        .map(orderedTuples(g, _, u0.leaves.size)).sum
+      Planner.round0Ecs(plan, g.degreeCounts) == expected
+    })
+  }
+
+  test("round0Ecs saturates instead of overflowing") {
+    val counts = new Array[Long](11)
+    counts(10) = Long.MaxValue / 100 // times 10 · 9 · 8 ECs each
+    assert(Planner.round0Ecs(Planner.bestPlan(Queries.q4), counts) == Long.MaxValue) // 3 leaves in round 0
+  }
+
+  test("dataPlan keeps the minimum rounds and the minimum dp0 span for every query") {
+    Seq(pl, GraphGen.gnm(60, 240, seed = 5), GraphGen.grid(6, 6)).foreach { g =>
+      (Queries.main ++ Queries.cliquey).foreach { q =>
+        val cands = Planner.candidatePlans(q)
+        val plan  = Planner.dataPlan(q, g.degreeCounts)
+        assert(plan.numRounds == Planner.minCds(q)._1, q.name)
+        assert(q.span(plan.units.head.piv) == cands.map(c => q.span(c.units.head.piv)).min, q.name)
+        assert(cands.contains(plan), q.name)
+      }
+    }
+  }
+
+  test("on the power-law graph dataPlan starts q4 from a 2-leaf star, bestPlan from the paper's 3-leaf star") {
+    val q = Queries.q4
+    assert(Planner.bestPlan(q).units.head == DecompUnit(0, Vector(1, 3, 4)))
+    val data = Planner.dataPlan(q, pl.degreeCounts)
+    assert(data.units.head.leaves.size == 2, data.toString)
+    assert(Planner.round0Ecs(data, pl.degreeCounts) < Planner.round0Ecs(Planner.bestPlan(q), pl.degreeCounts))
   }
 }
