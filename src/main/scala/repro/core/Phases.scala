@@ -228,6 +228,12 @@ object Phases {
     }
   }
 
+  /** [[filter]] for round `i` with no verification edge: nothing fails, and an EVI throws. */
+  def unverified(ctx: PlanCtx, st: MachineState, i: Int, harvest: Boolean): MachineState =
+    if (st.evi.nonEmpty) throw new IllegalStateException(
+      s"machine ${st.mid}, round $i: ${st.evi.length} undetermined edges in a round with no verification edge")
+    else if (harvest) filter(ctx, st, Array.emptyLongArray, harvest = true) else st
+
   /** [[filter]] with the failed keys as (a, b) pairs, for callers outside the engine. */
   def filter(ctx: PlanCtx, st: MachineState, failedEdges: Set[(Int, Int)], harvest: Boolean): MachineState =
     filter(ctx, st, PlanCtx.sortedDistinct(failedEdges.iterator.map((PlanCtx.packedKey _).tupled).toArray), harvest)

@@ -210,11 +210,17 @@ final case class RadsRun(
   * foreign-vertex cache) lives in an `RDD[(mid, MachineState)]` and the
   * adjacency blocks in an `RDD[(mid, AdjBlock)]` with the same partitioner,
   * so the two are zipped partition by partition. A round runs one expand,
-  * then one request/response cycle for `verifyE`, and before the expand of
-  * every round but the first one for `fetchV`; each cycle shuffles the
-  * requests to their owners and the answers back. The intermediate results
-  * never move, which is the paper's central claim against the join-based
-  * systems.
+  * before it (in every round but the first) one request/response cycle for
+  * `fetchV`, and after it, if the round has a verification edge, one for
+  * `verifyE` and the filter; each cycle shuffles the requests to their
+  * owners and the answers back. The intermediate results never move, which
+  * is the paper's central claim against the join-based systems.
+  *
+  * The only actions are one per filter and the gather. The first stage that
+  * reads an expand computes and caches it, and a filter's action unpersists
+  * every state kept before it: a group's tries since its last filter stay
+  * cached until then, two with q4's data plan and four with q6. A final
+  * round with no verification edge harvests inside its expand.
   */
 object RMeefEngine {
 
@@ -244,29 +250,32 @@ object RMeefEngine {
         rIter.flatMap { case (_, (reqMid, q)) => serve(block, q).map(a => (reqMid, a)) }
       }.partitionBy(part)
 
-    // ---- init: candidates, border distance, SM-E, region groups ----
-    var state: RDD[(Int, MachineState)] = adjRdd
-      .mapValues(block =>
-        Phases.init(ctx, block.mid, block, ownerBc.value, cfg.budgetBytes, cfg.smeEnabled, cfg.seed))
-      .persist(StorageLevel.MEMORY_ONLY)
-    val maxGroups = state.map(_._2.groups.size).reduce(math.max)
-
+    // persisted states, oldest first: the next filter's action is the last to read all but the newest
+    val kept = mutable.ArrayBuffer[RDD[(Int, MachineState)]]()
+    def keep(next: RDD[(Int, MachineState)]): RDD[(Int, MachineState)] = { kept += next.persist(); next }
     def materialize(next: RDD[(Int, MachineState)]): RDD[(Int, MachineState)] = {
-      val persisted = next.persist(StorageLevel.MEMORY_ONLY)
-      persisted.count()
-      state.unpersist(blocking = false)
-      persisted
+      keep(next).count()
+      while (kept.size > 1) kept.remove(0).unpersist(blocking = false)
+      next
     }
 
+    // ---- init: candidates, border distance, SM-E, region groups ----
+    var state = keep(adjRdd.mapValues(block =>
+      Phases.init(ctx, block.mid, block, ownerBc.value, cfg.budgetBytes, cfg.smeEnabled, cfg.seed)))
+    val maxGroups = state.map(_._2.groups.size).reduce(math.max)
+
     for (g <- 0 until maxGroups; i <- 0 until ctx.numRounds) {
-      // -- expand: build ECs of P_i into a fresh trie + EVI --
+      val verify    = ctx.unitVerifEdges(i).nonEmpty
+      val lastRound = i == ctx.numRounds - 1
+      // -- expand: build ECs of P_i into a fresh trie + EVI; filter here if nothing to verify --
       def expand(sIter: Iterator[(Int, MachineState)], aIter: Iterator[(Int, AdjBlock)],
                  fetched: Map[Int, Array[Int]]): Iterator[(Int, MachineState)] = {
         val (mid, st) = sIter.next()
-        Iterator((mid, Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)))
+        val next = Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)
+        Iterator((mid, if (verify) next else Phases.unverified(ctx, next, i, harvest = lastRound)))
       }
       // round 0 pivots are local by construction, so only later rounds fetchV
-      state = materialize(
+      val expanded =
         if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Map.empty))
         else {
           val fetchResp = exchange(state.flatMap { case (mid, st) =>
@@ -274,29 +283,34 @@ object RMeefEngine {
           })((block, v) => Iterator((v, block.adjOf(v))))
           state.zipPartitions(adjRdd, fetchResp)((sIter, aIter, rIter) =>
             expand(sIter, aIter, rIter.map(_._2).toMap))
-        })
+        }
 
-      // -- verifyE + filter (and harvest on the final round) --
-      // one batch of keys per (requester, owner) pair; answered with the keys
-      // that exist, and an empty answer is not sent
-      val verResp = exchange(state.flatMap { case (mid, st) =>
-        st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
-      })((block, keys) => Iterator(block.existing(keys)).filter(_.nonEmpty))
-      val lastRound = i == ctx.numRounds - 1
-      state = materialize(
-        state.zipPartitions(verResp) { (sIter, rIter) =>
-          val (mid, st) = sIter.next()
-          val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
-          Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
-        })
+      state =
+        if (!verify) { if (lastRound) materialize(expanded) else keep(expanded) }
+        else {
+          // -- verifyE + filter (and harvest on the final round) --
+          // one batch of keys per (requester, owner) pair; answered with the
+          // keys that exist, and an empty answer is not sent
+          val unfiltered = keep(expanded)
+          val verResp = exchange(unfiltered.flatMap { case (mid, st) =>
+            st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
+          })((block, keys) => Iterator(block.existing(keys)).filter(_.nonEmpty))
+          materialize(unfiltered.zipPartitions(verResp) { (sIter, rIter) =>
+            val (mid, st) = sIter.next()
+            val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
+            Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
+          })
+        }
     }
 
-    // ---- gather ----
-    val resultsRdd = state.flatMap(_._2.resultChunks.iterator.flatten)
-    val count      = resultsRdd.count()
-    val embeddings = if (cfg.keepEmbeddings) resultsRdd.collect().toVector else Vector.empty
-    val stats      = state.map(_._2.stats).reduce(_ + _)
-    state.unpersist(blocking = false)
+    // ---- gather: the stats in one job; the results only with keepEmbeddings ----
+    val stats = state.map(_._2.stats).reduce(_ + _)
+    val count = stats.smeEmbeddings + stats.distEmbeddings
+    val embeddings = if (!cfg.keepEmbeddings) Vector.empty
+      else state.flatMap(_._2.resultChunks.iterator.flatten).collect().toVector
+    if (cfg.keepEmbeddings && embeddings.size != count)
+      throw new IllegalStateException(s"collected ${embeddings.size} embeddings, but the machines counted $count")
+    kept.foreach(_.unpersist(blocking = false))
     adjRdd.unpersist(blocking = false)
     ownerBc.destroy()
 

@@ -62,6 +62,14 @@ class PhasesSuite extends AnyFunSuite {
     assert(filtered0.stats.verifyEdges == 3)
   }
 
+  test("a round with no verification edge passes on its state, and an EVI there fails loudly") {
+    assert(Phases.unverified(ctx, filtered0, 0, harvest = false) eq filtered0)
+    val e = intercept[IllegalStateException](Phases.unverified(ctx, round0, 0, harvest = false))
+    assert(e.getMessage.contains("machine 0") && e.getMessage.contains("round 0"))
+    assert(e.getMessage.contains("3 undetermined edges"))
+    intercept[IllegalStateException](Phases.unverified(ctx, round0, 0, harvest = true))
+  }
+
   test("pendingFetch omits pivots that only refuted ECs need") {
     // u1 = 3 only in the refuted ECs (0, 3, 1) and (0, 3, 2)
     assert(filtered0.pendingFetch(ctx, 1, owner).toSet == Set(1, 2))

@@ -71,20 +71,92 @@ class RadsEngineSuite extends SparkSpec {
       s"sme=${m.smeCandidates} dist=${m.distCandidates}")
   }
 
-  test("one region group per machine over 2 rounds runs 14 stages, count-only") {
+  /** Per round of `plan`: whether it has a verification edge, and so runs verifyE. */
+  private def hasVerifyE(plan: repro.query.ExecutionPlan): Vector[Boolean] =
+    plan.units.indices.map(plan.verificationEdges(_).nonEmpty).toVector
+
+  /** Runs `q` count-only on `pg` and returns its stage and job counts, after
+    * checking the count and that rounds with a verification edge are
+    * exactly `verified`.
+    */
+  private def pinned(pg: PartitionedGraph, q: repro.query.Pattern, budgetBytes: Double,
+                     verified: Vector[Boolean]): (Long, Long, RadsRun) = {
+    val (stages, jobs, run) = StageCounter.around(spark.sparkContext)(
+      Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = budgetBytes, keepEmbeddings = false)))
+    assert(run.count == LocalEnum.reference(q, pg.graph, Automorphism.symmetryBreaking(q)).count)
+    assert(hasVerifyE(run.plan) == verified)
+    (stages, jobs, run)
+  }
+
+  test("one region group per machine: q4 runs 3 jobs and 8 stages, count-only") {
     val pg = PartitionedGraph.metis(pl, 4, seed = 2)
-    val q  = Queries.q4
-    val (stages, run) = StageCounter.around(spark.sparkContext)(
-      Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = 1e9, keepEmbeddings = false)))
-    assert(run.count == LocalEnum.reference(q, pl, Automorphism.symmetryBreaking(q)).count)
-    assert(run.metrics.rounds == 2)
     // Φ = 1 GB puts each machine's distributed candidates in one group
+    val (stages, jobs, run) = pinned(pg, Queries.q4, 1e9, Vector(false, true))
     assert(run.metrics.machines.regionGroups >= 1 && run.metrics.machines.regionGroups <= pg.m)
-    val init   = 2 // ship the adjacency blocks to their machines; init + the group count
-    val round0 = 1 + 3 // expand; verifyE requests to owners, answers back, filter
-    val round1 = 3 + 3 // fetchV requests to owners, answers back, expand; then verifyE as in round 0
-    val gather = 2 // result count; stats
-    assert(stages == init + round0 + round1 + gather)
+    val init   = 2 // ship the adjacency blocks to their machines; init + the group count (job 1)
+    // job 2: fetchV requests to owners (computing expand 0), answers back;
+    // expand 1 + verifyE requests to owners, answers back; filter
+    val group  = 5
+    val gather = 1 // stats (job 3)
+    assert(stages == init + group + gather)
+    assert(jobs == 3)
+  }
+
+  test("one region group per machine: q6 runs 3 jobs and 12 stages, count-only") {
+    val pg = PartitionedGraph.metis(pl, 4, seed = 2)
+    // rounds 0-2 have no verification edge, so they run no verifyE and no filter
+    val (stages, jobs, run) = pinned(pg, Queries.q6, 1e9, Vector(false, false, false, true))
+    assert(run.metrics.machines.regionGroups >= 1 && run.metrics.machines.regionGroups <= pg.m)
+    val init   = 2
+    val fetchV = 3 * 2 // rounds 1-3: requests to owners (computing the previous expand), answers back
+    val verify = 3     // expand 3 + verifyE requests to owners, answers back, filter
+    val gather = 1
+    assert(stages == init + fetchV + verify + gather)
+    assert(jobs == 3)
+  }
+
+  test("G region groups: q4 runs G + 2 jobs and 5G + 3 stages, count-only") {
+    val pg     = PartitionedGraph.metis(pl, 4, seed = 2)
+    val budget = 2048.0
+    val cfg    = Rads.Config()
+    val ctx    = PlanCtx(Planner.dataPlan(Queries.q4, pl.degreeCounts), Automorphism.symmetryBreaking(Queries.q4))
+    val groups = (0 until pg.m).map(t =>
+      Phases.init(ctx, t, AdjBlock(t, pg.adjBlock(t)), pg.owner, budget, cfg.smeEnabled, cfg.seed).groups.size).max
+    assert(groups > 1)
+    val (stages, jobs, _) = pinned(pg, Queries.q4, budget, Vector(false, true))
+    assert(jobs == groups + 2)
+    assert(stages == 5 * groups + 3)
+  }
+
+  test("every q3, q5 and path-5 plan and four q6 plans return the reference, m=3") {
+    val pg  = PartitionedGraph.metis(pl, 3, seed = 13)
+    val cfg = Rads.Config(budgetBytes = 2048)
+    val q3 = Planner.candidatePlans(Queries.q3)
+    assert(q3.size == 20 && q3.forall(p => !hasVerifyE(p)(0) && !hasVerifyE(p)(1)))
+    val q5 = Planner.candidatePlans(Queries.q5)
+    assert(q5.size == 2 && q5.map(hasVerifyE(_).head).toSet == Set(true, false))
+    val q6 = Planner.candidatePlans(Queries.q6).take(4)
+    // no round verifies, so the final round harvests inside its expand
+    val path = Planner.candidatePlans(Queries.path(5))
+    assert(path.forall(p => p.numRounds > 1 && !hasVerifyE(p).contains(true)))
+    Seq(Queries.q3 -> q3, Queries.q5 -> q5, Queries.q6 -> q6, Queries.path(5) -> path).foreach { case (q, plans) =>
+      plans.foreach { plan =>
+        val run = check(s"pl $plan", pl, pg, q, cfg.copy(plan = Some(plan)))
+        assert(run.metrics.machines.regionGroups > pg.m, s"$plan: Φ must force several groups per machine")
+      }
+    }
+  }
+
+  test("no persisted RDD outlives Rads.enumerate, count-only or collecting") {
+    val pg = PartitionedGraph.metis(pl, 3, seed = 14)
+    Seq(false, true).foreach { keep =>
+      Seq(Queries.q4, Queries.q5, Queries.q6).foreach { q =>
+        val before = spark.sparkContext.getPersistentRDDs.keySet
+        val run = Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = 2048, keepEmbeddings = keep))
+        assert(run.metrics.machines.regionGroups > pg.m)
+        assert(spark.sparkContext.getPersistentRDDs.keySet.filterNot(before).isEmpty, s"${q.name}, keepEmbeddings = $keep")
+      }
+    }
   }
 
   test("disabling SM-E still yields exact results (ablation)") {
