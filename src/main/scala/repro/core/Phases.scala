@@ -12,6 +12,7 @@ object Phases {
 
   /** Init (per machine): candidate set of dp0.piv, border distance, the
     * SM-E split (Prop. 1), SM-E enumeration, and region grouping (Alg. 3).
+    * Without `keepEmbeddings`, SM-E only counts its embeddings.
     */
   def init(
       ctx: PlanCtx,
@@ -20,32 +21,34 @@ object Phases {
       owner: Array[Int],
       budgetBytes: Double,
       smeEnabled: Boolean,
-      seed: Long): MachineState = {
+      seed: Long,
+      keepEmbeddings: Boolean = true): MachineState = {
 
     val p      = ctx.pattern
     val uStart = ctx.uStart
-    val local  = block.adj.keys.toArray.sorted
+    val nbrs   = block.nbrs
+    val local  = Array.range(0, nbrs.length).filter(nbrs(_) != null)
     val isLocal = (v: Int) => owner(v) == mid
 
     // --- border distance (Def. 1) ---
-    val bd = PartitionedGraph.borderDistance(local, block.adj, owner)
+    val bd = PartitionedGraph.borderDistance(local, nbrs(_), owner)
 
     // --- candidates of dp0.piv + SM-E split ---
-    val candidates = local.filter(v => block.adj(v).length >= p.degree(uStart))
+    val candidates = local.filter(v => nbrs(v).length >= p.degree(uStart))
     val (smeCands, distCands) =
       if (smeEnabled) candidates.partition(v => bd(v) >= ctx.startSpan)
       else (Array.empty[Int], candidates)
 
     // --- SM-E: single-machine enumeration restricted to local vertices ---
-    val adjOf: Int => Array[Int] = v => if (isLocal(v)) block.adj(v) else Array.empty[Int]
+    val adjOf: Int => Array[Int] = v => if (isLocal(v)) nbrs(v) else Array.empty[Int]
     val sme = LocalEnum.enumerate(p, adjOf, ctx.sb, smeCands.toVector,
-      rootVertex = uStart, keepEmbeddings = true, accept = isLocal)
+      rootVertex = uStart, keepEmbeddings = keepEmbeddings, accept = isLocal)
 
     // --- memory estimate (§6) and region groups (Alg. 3) ---
     val estPerRoot =
       if (smeCands.nonEmpty) math.max(20.0, 20.0 * sme.partials / smeCands.length)
       else {
-        val avgDeg = if (local.nonEmpty) block.adj.valuesIterator.map(_.length).sum.toDouble / local.length else 1.0
+        val avgDeg = if (local.nonEmpty) local.iterator.map(nbrs(_).length).sum.toDouble / local.length else 1.0
         20.0 * math.max(2.0, avgDeg) * p.n
       }
     val groups = RegionGroups.group(distCands.toVector, adjOf, estPerRoot, budgetBytes, seed + mid)
@@ -54,7 +57,7 @@ object Phases {
       smeCandidates = smeCands.length, distCandidates = distCands.length,
       smeEmbeddings = sme.count, regionGroups = groups.size)
     new MachineState(mid, groups, new EmbeddingTrie(1),
-      Array.emptyLongArray, Array.emptyLongArray, Map.empty,
+      Array.emptyLongArray, Array.emptyLongArray, new Array[Array[Int]](owner.length),
       resultChunks = if (sme.embeddings.nonEmpty) List(sme.embeddings) else Nil,
       stats = stats)
   }
@@ -65,7 +68,9 @@ object Phases {
     * keys, repeats dropped once at the end). For round 0
     * the sources are the region group's candidate vertices. A foreign pivot
     * of an unrefuted EC whose adjacency is neither cached nor in `fetched`
-    * is an error, not a pruned branch.
+    * is an error, not a pruned branch. Adjacency is read from the block's
+    * and the cache's vertex-indexed arrays; a non-empty `fetched` goes into
+    * a copy of the previous cache, so no earlier state changes (D8, D10).
     */
   def expand(
       ctx: PlanCtx,
@@ -77,26 +82,29 @@ object Phases {
       i: Int): MachineState = {
 
     val p     = ctx.pattern
-    val cache = st.cache ++ fetched
     val mid   = st.mid
-    def adjOrNull(v: Int): Array[Int] =
-      if (owner(v) == mid) block.adj(v) else cache.getOrElse(v, null)
+    val nbrs  = block.nbrs
+    val cache =
+      if (fetched.isEmpty) st.cache
+      else { val c = st.cache.clone(); fetched.foreach { case (v, nb) => c(v) = nb }; c }
+    def adjOrNull(v: Int): Array[Int] = if (owner(v) == mid) nbrs(v) else cache(v)
 
     val piv     = ctx.pivOf(i)
     val leaves  = ctx.unitLeaves(i)
     val newTrie = new EmbeddingTrie(ctx.depths(i))
     val base    = ctx.depths(i) - leaves.size // trie level of unit i's first leaf
+    val verif   = ctx.verifFlat(i)
     val evi     = new mutable.ArrayBuilder.ofLong
     val f       = Array.fill(p.n)(-1)
     var cacheHits = 0L
 
-    // status of a data edge: Some(exists) if decidable locally, None otherwise
-    def edgeStatus(x: Int, y: Int): Option[Boolean] = {
+    // status of a data edge: 1 if it exists, 0 if not, -1 if it cannot be decided here
+    def edgeStatus(x: Int, y: Int): Int = {
       val ax = adjOrNull(x)
-      if (ax != null) Some(java.util.Arrays.binarySearch(ax, y) >= 0)
+      if (ax != null) { if (java.util.Arrays.binarySearch(ax, y) >= 0) 1 else 0 }
       else {
         val ay = adjOrNull(y)
-        if (ay != null) Some(java.util.Arrays.binarySearch(ay, x) >= 0) else None
+        if (ay == null) -1 else if (java.util.Arrays.binarySearch(ay, x) >= 0) 1 else 0
       }
     }
 
@@ -109,7 +117,10 @@ object Phases {
 
     /** Algorithm 2 over unit i's leaves from k on, below the node last pushed one level up. */
     def adjEnum(k: Int, pivAdj: Array[Int]): Boolean = {
-      val u = leaves(k)
+      val u     = leaves(k)
+      val degU  = p.degree(u)
+      val sbU   = ctx.sbPartners(u)
+      val check = ctx.checkPartners(u)
       var any = false
       var ci = 0
       while (ci < pivAdj.length) {
@@ -117,21 +128,31 @@ object Phases {
         var ok = unused(v)
         if (ok) { // candidate-level degree filter when adjacency is known
           val av = adjOrNull(v)
-          if (av != null && av.length < p.degree(u)) ok = false
+          if (av != null && av.length < degU) ok = false
         }
-        if (ok) ok = ctx.sbPartners(u).forall { case (other, otherSmaller) =>
-          f(other) == -1 || (if (otherSmaller) f(other) < v else v < f(other))
+        var j = 0
+        while (ok && j < sbU.length) {
+          val other = sbU(j)._1
+          if (f(other) != -1) ok = if (sbU(j)._2) f(other) < v else v < f(other)
+          j += 1
         }
-        if (ok) ok = ctx.checkPartners(u).forall { u2 =>
-          f(u2) == -1 || !edgeStatus(v, f(u2)).contains(false)
+        j = 0
+        while (ok && j < check.length) {
+          val w = f(check(j))
+          if (w != -1 && edgeStatus(v, w) == 0) ok = false
+          j += 1
         }
         if (ok) {
           f(u) = v
           newTrie.push(base + k, v)
           if (k == leaves.size - 1) {
             // EC of P_i complete: register its undetermined edges (Def. 4)
-            ctx.unitVerifEdges(i).foreach { case (a, b) =>
-              if (edgeStatus(f(a), f(b)).isEmpty) evi += PlanCtx.packedKey(f(a), f(b))
+            var e = 0
+            while (e < verif.length) {
+              val a = f(verif(e))
+              val b = f(verif(e + 1))
+              if (edgeStatus(a, b) == -1) evi += PlanCtx.packedKey(a, b)
+              e += 2
             }
             any = true
           } else if (adjEnum(k + 1, pivAdj)) any = true
@@ -148,7 +169,7 @@ object Phases {
       cands.foreach { v =>
         f(piv) = v
         newTrie.push(0, v)
-        if (!adjEnum(0, block.adj(v))) newTrie.pop(0)
+        if (!adjEnum(0, block.adjOf(v))) newTrie.pop(0)
         f(piv) = -1
       }
     } else {
@@ -175,7 +196,7 @@ object Phases {
             val pivAdj = adjOrNull(vPiv)
             if (pivAdj == null)
               throw new IllegalStateException(s"machine $mid, round $i: no adjacency for pivot vertex $vPiv")
-            if (owner(vPiv) != mid && st.cache.contains(vPiv)) cacheHits += 1
+            if (owner(vPiv) != mid && st.cache(vPiv) != null) cacheHits += 1
             success = adjEnum(0, pivAdj)
           }
           if (!success) newTrie.pop(level)

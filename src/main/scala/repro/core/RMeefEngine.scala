@@ -24,23 +24,48 @@ final class MidPartitioner(m: Int) extends Partitioner {
   override def hashCode(): Int = m
 }
 
-/** One machine's partition of the data graph: adjacency of owned vertices. */
-final case class AdjBlock(mid: Int, adj: Map[Int, Array[Int]]) {
-  def hasEdge(a: Int, b: Int): Boolean =
-    adj.get(a).exists(nb => java.util.Arrays.binarySearch(nb, b) >= 0)
+/** One machine's partition of the data graph, indexed by vertex id:
+  * `nbrs(v)` is the sorted adjacency of `v` if this machine owns it, and
+  * null otherwise. Expand looks up an adjacency once per candidate and per
+  * edge check, so the lookup is one array read, not a boxed map probe
+  * (DESIGN.md D10).
+  */
+final case class AdjBlock(mid: Int, nbrs: Array[Array[Int]]) {
+  /** The block as a map, for callers outside the engine. */
+  @transient lazy val adj: Map[Int, Array[Int]] =
+    nbrs.indices.iterator.filter(nbrs(_) != null).map(v => v -> nbrs(v)).toMap
+
+  private def orNull(v: Int): Array[Int] = if (v >= 0 && v < nbrs.length) nbrs(v) else null
+
+  def hasEdge(a: Int, b: Int): Boolean = {
+    val nb = orNull(a)
+    nb != null && java.util.Arrays.binarySearch(nb, b) >= 0
+  }
 
   /** The adjacency of `v`, which this machine must own: a `fetchV` or
     * `verifyE` request for any other vertex was misrouted, and answering it
     * would silently lose or refute ECs.
     */
-  def adjOf(v: Int): Array[Int] =
-    adj.getOrElse(v, throw new IllegalStateException(s"machine $mid does not own vertex $v"))
+  def adjOf(v: Int): Array[Int] = {
+    val nb = orNull(v)
+    if (nb == null) throw new IllegalStateException(s"machine $mid does not own vertex $v")
+    nb
+  }
 
   /** The `verifyE` answer to a batch of [[PlanCtx.packedKey]]s whose smaller
     * endpoints this machine owns: the keys that are data edges, in order.
     */
   def existing(keys: Array[Long]): Array[Long] =
     keys.filter(k => java.util.Arrays.binarySearch(adjOf(PlanCtx.smaller(k)), PlanCtx.larger(k)) >= 0)
+}
+
+object AdjBlock {
+  /** The block of the owned adjacency `adj`, vertex id -> sorted neighbours. */
+  def apply(mid: Int, adj: Map[Int, Array[Int]]): AdjBlock = {
+    val nbrs = new Array[Array[Int]](if (adj.isEmpty) 0 else adj.keysIterator.max + 1)
+    adj.foreach { case (v, nb) => nbrs(v) = nb }
+    AdjBlock(mid, nbrs)
+  }
 }
 
 /** Static, serializable context shared by all R-Meef phases. */
@@ -60,8 +85,8 @@ final case class PlanCtx(
   def uStart: Int = pivOf.head
 
   // unitVerifEdges flattened to (a0, b0, a1, b1, ...) for `refuted`, which
-  // runs once per EC of the previous round
-  private val verifFlat: Array[Array[Int]] =
+  // runs once per EC of the previous round, and for expand's EVI
+  val verifFlat: Array[Array[Int]] =
     unitVerifEdges.map(_.flatMap { case (a, b) => Vector(a, b) }.toArray).toArray
 
   /** Prop. 2 without removal: an EC of round `i` with image `f` (query
@@ -144,7 +169,9 @@ object PlanCtx {
   * refuted. Both are sorted [[PlanCtx.packedKey]]s without repeats.
   * `trie` is the flat level-array trie of the current round, so caching
   * the state costs Spark's size estimate a few arrays, not a walk over
-  * every node.
+  * every node. `cache` holds the fetched foreign adjacency by vertex id,
+  * null where nothing was fetched; it has one entry per data vertex, and
+  * expand copies it before adding to it (D10).
   */
 final class MachineState(
     val mid: Int,
@@ -152,7 +179,7 @@ final class MachineState(
     val trie: EmbeddingTrie,
     val evi: Array[Long],
     val failed: Array[Long],
-    val cache: Map[Int, Array[Int]],
+    val cache: Array[Array[Int]],
     val resultChunks: List[Vector[Array[Int]]],
     val stats: MachineStats) extends Serializable {
 
@@ -165,7 +192,7 @@ final class MachineState(
     val out = mutable.LinkedHashSet[Int]()
     ctx.foreachUnrefuted(trie, i - 1, failed) { f =>
       val v = f(piv)
-      if (owner(v) != mid && !cache.contains(v)) out += v
+      if (owner(v) != mid && cache(v) == null) out += v
     }
     out.iterator
   }
@@ -259,62 +286,67 @@ object RMeefEngine {
       next
     }
 
-    // ---- init: candidates, border distance, SM-E, region groups ----
-    var state = keep(adjRdd.mapValues(block =>
-      Phases.init(ctx, block.mid, block, ownerBc.value, cfg.budgetBytes, cfg.smeEnabled, cfg.seed)))
-    val maxGroups = state.map(_._2.groups.size).reduce(math.max)
+    // the cached states, the blocks and the owner broadcast go when the run
+    // ends, also when a job fails
+    try {
+      // ---- init: candidates, border distance, SM-E, region groups ----
+      var state = keep(adjRdd.mapValues(block =>
+        Phases.init(ctx, block.mid, block, ownerBc.value, cfg.budgetBytes, cfg.smeEnabled, cfg.seed,
+          cfg.keepEmbeddings)))
+      val maxGroups = state.map(_._2.groups.size).reduce(math.max)
 
-    for (g <- 0 until maxGroups; i <- 0 until ctx.numRounds) {
-      val verify    = ctx.unitVerifEdges(i).nonEmpty
-      val lastRound = i == ctx.numRounds - 1
-      // -- expand: build ECs of P_i into a fresh trie + EVI; filter here if nothing to verify --
-      def expand(sIter: Iterator[(Int, MachineState)], aIter: Iterator[(Int, AdjBlock)],
-                 fetched: Map[Int, Array[Int]]): Iterator[(Int, MachineState)] = {
-        val (mid, st) = sIter.next()
-        val next = Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)
-        Iterator((mid, if (verify) next else Phases.unverified(ctx, next, i, harvest = lastRound)))
+      for (g <- 0 until maxGroups; i <- 0 until ctx.numRounds) {
+        val verify    = ctx.unitVerifEdges(i).nonEmpty
+        val lastRound = i == ctx.numRounds - 1
+        // -- expand: build ECs of P_i into a fresh trie + EVI; filter here if nothing to verify --
+        def expand(sIter: Iterator[(Int, MachineState)], aIter: Iterator[(Int, AdjBlock)],
+                   fetched: Map[Int, Array[Int]]): Iterator[(Int, MachineState)] = {
+          val (mid, st) = sIter.next()
+          val next = Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)
+          Iterator((mid, if (verify) next else Phases.unverified(ctx, next, i, harvest = lastRound)))
+        }
+        // round 0 pivots are local by construction, so only later rounds fetchV
+        val expanded =
+          if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Map.empty))
+          else {
+            val fetchResp = exchange(state.flatMap { case (mid, st) =>
+              st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
+            })((block, v) => Iterator((v, block.adjOf(v))))
+            state.zipPartitions(adjRdd, fetchResp)((sIter, aIter, rIter) =>
+              expand(sIter, aIter, rIter.map(_._2).toMap))
+          }
+
+        state =
+          if (!verify) { if (lastRound) materialize(expanded) else keep(expanded) }
+          else {
+            // -- verifyE + filter (and harvest on the final round) --
+            // one batch of keys per (requester, owner) pair; answered with the
+            // keys that exist, and an empty answer is not sent
+            val unfiltered = keep(expanded)
+            val verResp = exchange(unfiltered.flatMap { case (mid, st) =>
+              st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
+            })((block, keys) => Iterator(block.existing(keys)).filter(_.nonEmpty))
+            materialize(unfiltered.zipPartitions(verResp) { (sIter, rIter) =>
+              val (mid, st) = sIter.next()
+              val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
+              Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
+            })
+          }
       }
-      // round 0 pivots are local by construction, so only later rounds fetchV
-      val expanded =
-        if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Map.empty))
-        else {
-          val fetchResp = exchange(state.flatMap { case (mid, st) =>
-            st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
-          })((block, v) => Iterator((v, block.adjOf(v))))
-          state.zipPartitions(adjRdd, fetchResp)((sIter, aIter, rIter) =>
-            expand(sIter, aIter, rIter.map(_._2).toMap))
-        }
 
-      state =
-        if (!verify) { if (lastRound) materialize(expanded) else keep(expanded) }
-        else {
-          // -- verifyE + filter (and harvest on the final round) --
-          // one batch of keys per (requester, owner) pair; answered with the
-          // keys that exist, and an empty answer is not sent
-          val unfiltered = keep(expanded)
-          val verResp = exchange(unfiltered.flatMap { case (mid, st) =>
-            st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
-          })((block, keys) => Iterator(block.existing(keys)).filter(_.nonEmpty))
-          materialize(unfiltered.zipPartitions(verResp) { (sIter, rIter) =>
-            val (mid, st) = sIter.next()
-            val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
-            Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
-          })
-        }
+      // ---- gather: the stats in one job; the results only with keepEmbeddings ----
+      val stats = state.map(_._2.stats).reduce(_ + _)
+      val count = stats.smeEmbeddings + stats.distEmbeddings
+      val embeddings = if (!cfg.keepEmbeddings) Vector.empty
+        else state.flatMap(_._2.resultChunks.iterator.flatten).collect().toVector
+      if (cfg.keepEmbeddings && embeddings.size != count)
+        throw new IllegalStateException(s"collected ${embeddings.size} embeddings, but the machines counted $count")
+      RadsRun(count, embeddings,
+        RadsMetrics(stats, ctx.numRounds, System.currentTimeMillis() - t0), plan)
+    } finally {
+      kept.foreach(_.unpersist(blocking = false))
+      adjRdd.unpersist(blocking = false)
+      ownerBc.destroy()
     }
-
-    // ---- gather: the stats in one job; the results only with keepEmbeddings ----
-    val stats = state.map(_._2.stats).reduce(_ + _)
-    val count = stats.smeEmbeddings + stats.distEmbeddings
-    val embeddings = if (!cfg.keepEmbeddings) Vector.empty
-      else state.flatMap(_._2.resultChunks.iterator.flatten).collect().toVector
-    if (cfg.keepEmbeddings && embeddings.size != count)
-      throw new IllegalStateException(s"collected ${embeddings.size} embeddings, but the machines counted $count")
-    kept.foreach(_.unpersist(blocking = false))
-    adjRdd.unpersist(blocking = false)
-    ownerBc.destroy()
-
-    RadsRun(count, embeddings,
-      RadsMetrics(stats, ctx.numRounds, System.currentTimeMillis() - t0), plan)
   }
 }

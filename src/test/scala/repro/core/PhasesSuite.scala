@@ -1,8 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{Graph, PartitionedGraph}
-import repro.query.{DecompUnit, ExecutionPlan, Pattern}
+import repro.graph.{Graph, GraphGen, PartitionedGraph}
+import repro.query.{Automorphism, DecompUnit, ExecutionPlan, Pattern, Planner, Queries}
 
 /** The filter of Prop. 2 (the paper's Example 6(b)) at the level of the
   * phase functions, on one machine and without Spark: an EC whose
@@ -115,5 +115,39 @@ class PhasesSuite extends AnyFunSuite {
     assert(done.stats.distEmbeddings == 2)
     val reference = LocalEnum.reference(bowtie, g, Nil).embeddings.filter(_(0) == 0).map(_.toSeq).toSet
     assert(harvested == reference)
+  }
+
+  test("an expand that fetched copies the previous cache; one that fetched nothing shares it (D8)") {
+    val init = Phases.init(ctx, 0, block, owner, budgetBytes = 1e9, smeEnabled = false, seed = 1)
+    assert(init.cache.length == g.n && init.cache.forall(_ == null))
+    assert(Phases.expand(ctx, init, block, Map.empty, owner, g = 0, i = 0).cache eq init.cache)
+    val before = filtered0.cache.clone()
+    assert(round1.cache ne filtered0.cache)
+    assert(filtered0.cache.indices.forall(v => filtered0.cache(v) eq before(v)))
+    assert(Set(1, 2).forall(v => round1.cache(v).toSeq == g.neighbors(v).toSeq))
+    // with both pivots cached, the expand fetches nothing and counts two hits
+    val cached = new MachineState(0, filtered0.groups, filtered0.trie, filtered0.evi, filtered0.failed,
+      round1.cache, filtered0.resultChunks, filtered0.stats)
+    val again = Phases.expand(ctx, cached, block, Map.empty, owner, g = 0, i = 1)
+    assert(again.cache eq round1.cache)
+    assert(again.stats.cacheHits == 2 && again.stats.fetchedVertices == 0)
+    assert(paths(again.trie) == paths(round1.trie))
+  }
+
+  test("a count-only init keeps no SM-E result chunk and counts as a collecting one") {
+    val road = GraphGen.roadLite(10, 10, seed = 3)
+    val pg   = PartitionedGraph.metis(road, 2, seed = 4)
+    val q1   = PlanCtx(Planner.dataPlan(Queries.q1, road.degreeCounts), Automorphism.symmetryBreaking(Queries.q1))
+    val sme = (0 until 2).map { t =>
+      val b = AdjBlock(t, pg.adjBlock(t))
+      val collect = Phases.init(q1, t, b, pg.owner, budgetBytes = 2048, smeEnabled = true, seed = 1)
+      val count   = Phases.init(q1, t, b, pg.owner, budgetBytes = 2048, smeEnabled = true, seed = 1,
+        keepEmbeddings = false)
+      assert(count.resultChunks.isEmpty)
+      assert(collect.resultChunks.flatten.size == collect.stats.smeEmbeddings)
+      assert(count.stats == collect.stats && count.groups == collect.groups)
+      count.stats.smeEmbeddings
+    }
+    assert(sme.sum > 0)
   }
 }

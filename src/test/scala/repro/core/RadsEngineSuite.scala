@@ -128,6 +128,26 @@ class RadsEngineSuite extends SparkSpec {
     assert(stages == 5 * groups + 3)
   }
 
+  test("pinned counters: q4 and q6 on the power-law graph, metis and hash, m=4, several groups") {
+    // (count, region groups, fetched vertices, fetched adjacency entries,
+    //  cache hits, verified edges, trie nodes, peak trie bytes), all summed
+    //  over the machines but the peak. A change to how expand looks up
+    //  adjacency must leave every one of them as it is.
+    val pinned = Map(
+      ("metis", "q4") -> Seq(2539L, 52L, 207L, 1302L, 296L, 520L, 11760L, 38260L),
+      ("metis", "q6") -> Seq(15664L, 70L, 444L, 2553L, 58082L, 66L, 136107L, 438540L),
+      ("hash", "q4")  -> Seq(2539L, 52L, 257L, 1583L, 894L, 628L, 12012L, 38080L),
+      ("hash", "q6")  -> Seq(15664L, 70L, 444L, 2553L, 56021L, 59L, 136047L, 436260L))
+    Seq("metis" -> PartitionedGraph.metis(pl, 4, seed = 2), "hash" -> PartitionedGraph.hashed(pl, 4)).foreach { case (n, pg) =>
+      Seq(Queries.q4, Queries.q6).foreach { q =>
+        val run = Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = 2048, keepEmbeddings = false))
+        val s = run.metrics.machines
+        assert(Seq(run.count, s.regionGroups, s.fetchedVertices, s.fetchedAdjEntries, s.cacheHits,
+          s.verifyEdges, s.sumEtNodes, s.peakEtBytes) == pinned((n, q.name)), s"$n/${q.name}")
+      }
+    }
+  }
+
   test("every q3, q5 and path-5 plan and four q6 plans return the reference, m=3") {
     val pg  = PartitionedGraph.metis(pl, 3, seed = 13)
     val cfg = Rads.Config(budgetBytes = 2048)
@@ -157,6 +177,19 @@ class RadsEngineSuite extends SparkSpec {
         assert(spark.sparkContext.getPersistentRDDs.keySet.filterNot(before).isEmpty, s"${q.name}, keepEmbeddings = $keep")
       }
     }
+  }
+
+  test("a run that fails inside a job leaves no persisted RDD behind") {
+    val pg   = PartitionedGraph.metis(pl, 3, seed = 14)
+    val q    = Queries.q4
+    val plan = Planner.dataPlan(q, pl.degreeCounts)
+    val ctx  = PlanCtx(plan, Automorphism.symmetryBreaking(q))
+    // a round-1 pivot that round 1 itself matches has no image yet, so the expand throws
+    val broken = ctx.copy(pivOf = ctx.pivOf.updated(1, ctx.unitLeaves(1).head))
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    intercept[org.apache.spark.SparkException](
+      RMeefEngine.run(spark, pg, broken, plan, Rads.Config(budgetBytes = 2048, keepEmbeddings = false)))
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
   }
 
   test("disabling SM-E still yields exact results (ablation)") {

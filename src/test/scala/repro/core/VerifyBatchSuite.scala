@@ -16,7 +16,8 @@ class VerifyBatchSuite extends AnyFunSuite {
   }
 
   private def stateWith(evi: Array[Long]): MachineState =
-    new MachineState(0, Vector.empty, new EmbeddingTrie(1), evi, Array.emptyLongArray, Map.empty, Nil, MachineStats())
+    new MachineState(0, Vector.empty, new EmbeddingTrie(1), evi, Array.emptyLongArray, Array.empty[Array[Int]], Nil,
+      MachineStats())
 
   private val genKeys: Gen[Array[Long]] = Gen.oneOf(
     Gen.const(Array.emptyLongArray),
@@ -79,5 +80,30 @@ class VerifyBatchSuite extends AnyFunSuite {
     assert(e.getMessage == "machine 1 does not own vertex 3")
     assert(block.adjOf(4).isEmpty) // an owned vertex without neighbours is no error
     assert(intercept[IllegalStateException](block.adjOf(7)).getMessage == "machine 1 does not own vertex 7")
+  }
+
+  test("property: an AdjBlock built from a map answers adjOf, hasEdge and existing as the map does") {
+    val genAdj: Gen[Map[Int, Array[Int]]] =
+      Gen.mapOf(Gen.zip(Gen.choose(0, 15), Gen.listOf(Gen.choose(0, 15)).map(_.distinct.sorted.toArray)))
+    checkProp(Prop.forAll(genAdj) { adj =>
+      val b  = AdjBlock(3, adj)
+      val vs = -1 to 17
+      val owned = vs.forall(v => adj.get(v) match {
+        case Some(nb) => b.adjOf(v) eq nb
+        case None     => scala.util.Try(b.adjOf(v)).failed.toOption.exists(_.isInstanceOf[IllegalStateException])
+      })
+      val edges = vs.forall(a => vs.forall(c => b.hasEdge(a, c) == adj.get(a).exists(_.contains(c))))
+      val keys  = adj.keys.toArray.flatMap(a => vs.filter(_ > a).map(PlanCtx.packedKey(a, _)))
+      val exist = b.existing(keys).toSeq == keys.toSeq.filter(k =>
+        adj(PlanCtx.smaller(k)).contains(PlanCtx.larger(k)))
+      owned && edges && exist && b.adj.keySet == adj.keySet && adj.forall { case (v, nb) => b.adj(v) eq nb }
+    })
+  }
+
+  test("adjOf throws for a foreign vertex inside the array and for one beyond its end") {
+    assert(block.nbrs.length == 5 && block.nbrs(3) == null)
+    assert(intercept[IllegalStateException](block.adjOf(3)).getMessage == "machine 1 does not own vertex 3")
+    assert(intercept[IllegalStateException](block.adjOf(5)).getMessage == "machine 1 does not own vertex 5")
+    assert(intercept[IllegalStateException](block.adjOf(-1)).getMessage == "machine 1 does not own vertex -1")
   }
 }
