@@ -98,6 +98,67 @@ class BaselineEnginesSuite extends SparkSpec {
     assert(got == want)
   }
 
+  test("TwinTwig's and SEED's counts and shuffled tuples and bytes are pinned on q1-q8") {
+    // (count, shuffledTuples, shuffledBytes) per query on this graph and partition
+    val twinTwig = Map(
+      "q1" -> (96L, 2508L, 62816L), "q2" -> (291L, 4862L, 138144L),
+      "q3" -> (340L, 5644L, 183264L), "q4" -> (172L, 18315L, 682040L),
+      "q5" -> (1462L, 47780L, 1978784L), "q6" -> (1258L, 17324L, 738944L),
+      "q7" -> (39L, 9686L, 334672L), "q8" -> (442L, 46979L, 2097376L))
+    val seed = Map(
+      "q1" -> (96L, 2508L, 62816L), "q2" -> (291L, 657L, 16176L),
+      "q3" -> (340L, 5644L, 183264L), "q4" -> (172L, 2607L, 82680L),
+      "q5" -> (1462L, 6472L, 232864L), "q6" -> (1258L, 17324L, 738944L),
+      "q7" -> (39L, 22672L, 930144L), "q8" -> (442L, 41759L, 1867920L))
+    val gotTwinTwig = Queries.main.map { q =>
+      val run = TwinTwig.run(spark, pg, q, Automorphism.symmetryBreaking(q))
+      run.df.unpersist()
+      q.name -> (run.count, run.metrics.shuffledTuples, run.metrics.shuffledBytes)
+    }.toMap
+    val gotSeed = Queries.main.map { q =>
+      val run = Seed.run(spark, pg, q, Automorphism.symmetryBreaking(q))
+      run.df.unpersist()
+      q.name -> (run.count, run.metrics.shuffledTuples, run.metrics.shuffledBytes)
+    }.toMap
+    assert(gotTwinTwig == twinTwig)
+    assert(gotSeed == seed)
+  }
+
+  test("TwinTwig's and SEED's decompositions are pinned on every query") {
+    def star(piv: Int, lf: Int*) = Seed.StarUnit(piv, lf.toVector)
+    def clique(vs: Int*) = Seed.CliqueUnit(vs.toVector)
+    val twinTwig = Map(
+      "q1" -> Vector((0, Vector(1, 3)), (1, Vector(2)), (2, Vector(3))),
+      "q2" -> Vector((0, Vector(1, 2)), (0, Vector(3)), (1, Vector(2))),
+      "q3" -> Vector((0, Vector(1, 4)), (1, Vector(2)), (2, Vector(3)), (3, Vector(4))),
+      "q4" -> Vector((0, Vector(1, 3)), (1, Vector(2, 4)), (0, Vector(4)), (2, Vector(3))),
+      "q5" -> Vector((0, Vector(1, 3)), (1, Vector(2, 4)), (2, Vector(3, 5)), (0, Vector(4))),
+      "q6" -> Vector((0, Vector(1, 5)), (1, Vector(2)), (2, Vector(3)), (3, Vector(4)), (4, Vector(5))),
+      "q7" -> Vector((0, Vector(3, 4)), (3, Vector(1, 2)), (1, Vector(4, 5)), (0, Vector(5)), (2, Vector(4))),
+      "q8" -> Vector((0, Vector(1, 3)), (3, Vector(2, 4)), (0, Vector(5)), (1, Vector(2)), (4, Vector(5))),
+      "tq1" -> Vector((0, Vector(1, 2)), (1, Vector(2, 3)), (0, Vector(3))),
+      "tq2" -> Vector((0, Vector(1, 2)), (1, Vector(2, 3)), (3, Vector(0, 2))),
+      "tq3" -> Vector((3, Vector(0, 1)), (0, Vector(1, 2)), (2, Vector(1, 3)), (3, Vector(4))),
+      "tq4" -> Vector((0, Vector(1, 2)), (0, Vector(3, 4)), (1, Vector(2)), (3, Vector(4))),
+      "triangle" -> Vector((0, Vector(1, 2)), (1, Vector(2))))
+    val seed = Map(
+      "q1" -> Vector(star(0, 1, 3), star(1, 2), star(2, 3)),
+      "q2" -> Vector(clique(0, 1, 2), star(0, 3)),
+      "q3" -> Vector(star(0, 1, 4), star(1, 2), star(2, 3), star(3, 4)),
+      "q4" -> Vector(clique(0, 1, 4), star(0, 3), star(1, 2), star(2, 3)),
+      "q5" -> Vector(clique(0, 1, 4), star(0, 3), star(1, 2), star(2, 3, 5)),
+      "q6" -> Vector(star(0, 1, 5), star(1, 2), star(2, 3), star(3, 4), star(4, 5)),
+      "q7" -> Vector(star(0, 3, 4, 5), star(3, 1, 2), star(1, 4, 5), star(2, 4)),
+      "q8" -> Vector(star(0, 1, 3, 5), star(3, 2, 4), star(1, 2), star(4, 5)),
+      "tq1" -> Vector(clique(0, 1, 2), clique(0, 1, 3)),
+      "tq2" -> Vector(clique(0, 1, 2, 3)),
+      "tq3" -> Vector(clique(0, 1, 2, 3), star(3, 4)),
+      "tq4" -> Vector(clique(0, 1, 2), clique(0, 3, 4)),
+      "triangle" -> Vector(clique(0, 1, 2)))
+    assert(Queries.all.map(q => q.name -> TwinTwig.decompose(q)).toMap == twinTwig)
+    assert(Queries.all.map(q => q.name -> Seed.decompose(q)).toMap == seed)
+  }
+
   test("Crystal index holds exactly the graph's triangles") {
     assert(index.triangles.length == g.triangleCount)
     index.triangles.foreach { case (a, b, c) =>
