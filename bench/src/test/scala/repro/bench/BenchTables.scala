@@ -2,7 +2,7 @@ package repro.bench
 
 import java.nio.file.Paths
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{Crystal, PSgL, Seed, TwinTwig}
+import repro.baselines.{BaselineRun, Crystal, PSgL, Seed, TwinTwig}
 import repro.core.{IntermediateOverflowException, LocalEnum, Rads}
 import repro.graph.{Graph, GraphGen, PartitionedGraph}
 import repro.query.{Automorphism, Planner, Queries}
@@ -146,21 +146,13 @@ object BenchTables {
           val r = Rads.enumerate(spark, p, q, Rads.Config(keepEmbeddings = false))
           (r.metrics.comm.totalBytes, r.count)
         }
-        record("PSgL") {
-          val r = PSgL.run(spark, p, q, sb, maxIntermediate)
-          r.df.unpersist(); (r.metrics.shuffledBytes, r.count)
-        }
-        record("TwinTwig") {
-          val r = TwinTwig.run(spark, p, q, sb, maxIntermediate)
-          r.df.unpersist(); (r.metrics.shuffledBytes, r.count)
-        }
-        record("SEED") {
-          val r = Seed.run(spark, p, q, sb, maxIntermediate)
-          r.df.unpersist(); (r.metrics.shuffledBytes, r.count)
-        }
-        record("Crystal") {
-          val r = Crystal.run(spark, p, q, sb, index, maxIntermediate)
-          r.df.unpersist(); (r.metrics.shuffledBytes, r.count)
+        Seq[(String, () => BaselineRun)](
+          "PSgL"     -> (() => PSgL.run(spark, p, q, sb, maxIntermediate)),
+          "TwinTwig" -> (() => TwinTwig.run(spark, p, q, sb, maxIntermediate)),
+          "SEED"     -> (() => Seed.run(spark, p, q, sb, maxIntermediate)),
+          "Crystal"  -> (() => Crystal.run(spark, p, q, sb, index, maxIntermediate))
+        ).foreach { case (engine, run) =>
+          record(engine) { val r = run(); r.df.unpersist(); (r.metrics.shuffledBytes, r.count) }
         }
         // consistency: all engines that completed agree on the count
         val counts = rows.takeRight(5).filterNot(_.oom).map(_.count).distinct

@@ -1,10 +1,9 @@
 package repro.baselines
 
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
-import repro.core.BaselineMetrics
 import repro.graph.{Graph, PartitionedGraph}
 import repro.query.Pattern
 import scala.collection.mutable
@@ -15,9 +14,10 @@ import scala.collection.mutable
   * 4-cliques, plus the edge relation) whose byte size reproduces Table 2;
   * query processing that *retrieves the largest clique sub-pattern directly
   * from the index* (the paper's "the triangle crystal can be directly
-  * loaded") and extends the remaining vertices by joins, leaving degree-1
-  * "bud" vertices last (cheap combination). Simplified away: the full
-  * vertex-cover `code(I_P)` compression algebra.
+  * loaded") and extends the remaining vertices by joins
+  * ([[JoinEnum.extend]]'s order, with no special place for degree-1 "bud"
+  * vertices). Simplified away: the vertex-cover core, bud-set compression
+  * and the `code(I_P)` compression algebra.
   */
 object Crystal {
 
@@ -85,26 +85,15 @@ object Crystal {
     Files.size(file)
   }
 
-  final case class Run(df: DataFrame, count: Long, metrics: BaselineMetrics,
-                       seedClique: Int, budVertices: Int)
-
   /** Largest clique of the pattern (vertex list), up to size 4. */
-  def largestPatternClique(p: Pattern): Vector[Int] = {
-    (4 to 2 by -1).iterator.flatMap { k =>
-      (0 until p.n).combinations(k)
-        .find(vs => vs.combinations(2).forall { case Seq(a, b) => p.hasEdge(a, b) })
-        .map(_.toVector)
-    }.next()
-  }
+  def largestPatternClique(p: Pattern): Vector[Int] = (4 to 2 by -1).iterator.flatMap(p.cliques).next()
 
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
-          index: CliqueIndex, maxIntermediate: Long = Long.MaxValue): Run = {
-    val t0     = System.currentTimeMillis()
+          index: CliqueIndex, maxIntermediate: Long = Long.MaxValue): BaselineRun = {
+    val tally  = new Tally(maxIntermediate)
     val edges  = pg.edgesDf(spark).persist()
     edges.count()
     val clique = largestPatternClique(p)
-    // buds: degree-1 vertices combined last, outside the clique seed
-    val buds = (0 until p.n).filter(u => p.degree(u) == 1 && !clique.contains(u)).toVector
 
     val seedDf: DataFrame = clique.size match {
       case k if k >= 3 =>
@@ -120,20 +109,10 @@ object Crystal {
         edges.select(col("src").as(s"v${clique(0)}"), col("dst").as(s"v${clique(1)}"))
     }
 
-    var shuffled = 0L
-    val df = JoinEnum.extend(edges, p, sb, seedDf, clique,
-      onStep = (d, _) => {
-        val c = d.persist().count() // each MR round of the crystal join
-        if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
-        shuffled += c
-      })
-    val out   = df.persist()
-    val count = out.count()
-    shuffled += count
+    // each join step is one MR round of the crystal join, and the result is charged once more
+    val out = JoinEnum.extend(edges, p, sb, seedDf, clique, onStep = tally(_))
+    val run = tally.result("Crystal", p.n - clique.size, out, tally(out))
     edges.unpersist(blocking = false)
-    Run(out, count,
-      BaselineMetrics("Crystal", shuffled, shuffled * p.n * 8L, p.n - clique.size,
-        System.currentTimeMillis() - t0),
-      clique.size, buds.size)
+    run
   }
 }

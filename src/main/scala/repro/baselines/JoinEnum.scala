@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.LocalEnum
 import repro.query.Pattern
@@ -17,8 +17,9 @@ import scala.collection.mutable
 object JoinEnum {
 
   /** Extend `start` (columns `v{u}` for `mapped` vertices) to the full
-    * pattern, one vertex per step. Used by JoinEnum itself, by PSgL, and by
-    * Crystal to grow from an index-seeded clique.
+    * pattern, one vertex per step along [[LocalEnum.order]] from `mapped`.
+    * Used by JoinEnum itself, by PSgL, and by Crystal to grow from an
+    * index-seeded clique.
     *
     * @param onStep called with the intermediate DataFrame after each
     *               expansion step (for counting shuffled intermediates)
@@ -29,23 +30,10 @@ object JoinEnum {
       sb: Seq[(Int, Int)],
       start: DataFrame,
       mapped: Vector[Int],
-      onStep: (DataFrame, Int) => Unit = (_, _) => ()): DataFrame = {
-    var df     = start
-    val seen   = mutable.ArrayBuffer.from(mapped)
-    val sbLeft = mutable.ArrayBuffer.from(sb)
-
-    def applySb(): Unit = {
-      val ready = sbLeft.filter { case (a, b) => seen.contains(a) && seen.contains(b) }
-      ready.foreach { case (a, b) => df = df.where(col(s"v$a") < col(s"v$b")) }
-      sbLeft --= ready
-    }
-    applySb()
-
-    var step = 0
-    while (seen.size < p.n) {
-      val u = (0 until p.n).filterNot(seen.contains)
-        .filter(x => p.neighbors(x).exists(seen.contains))
-        .minBy(x => (-p.neighbors(x).count(seen.contains), -p.degree(x), x))
+      onStep: DataFrame => Unit = _ => ()): DataFrame = {
+    var df   = whereSb(start, sb, mapped, mapped)
+    val seen = mutable.ArrayBuffer.from(mapped)
+    LocalEnum.order(p, mapped: _*).drop(mapped.size).foreach { u =>
       val nbrs   = p.neighbors(u).filter(seen.contains).toVector
       val first  = nbrs.head
       val e      = edges.select(col("src").as("_es"), col("dst").as("_ed"))
@@ -57,19 +45,23 @@ object JoinEnum {
       }
       seen.foreach(w => df = df.where(col(s"v$u") =!= col(s"v$w")))
       seen += u
-      applySb()
-      step += 1
-      onStep(df, step)
+      df = whereSb(df, sb, seen, Seq(u))
+      onStep(df)
     }
     df.select((0 until p.n).map(i => col(s"v$i")): _*)
   }
 
+  /** `df` with the conditions (a, b) of `sb` that the `fresh` vertices make
+    * checkable: both ends in `mapped`, at least one of them fresh. Applied
+    * after each step, every condition filters as soon as its columns exist.
+    */
+  def whereSb(df: DataFrame, sb: Seq[(Int, Int)], mapped: collection.Seq[Int], fresh: Seq[Int]): DataFrame =
+    sb.filter { case (a, b) => mapped.contains(a) && mapped.contains(b) && (fresh.contains(a) || fresh.contains(b)) }
+      .foldLeft(df) { case (d, (a, b)) => d.where(col(s"v$a") < col(s"v$b")) }
+
   /** Full enumeration starting from all vertices. */
-  def run(spark: SparkSession, edges: DataFrame, p: Pattern, sb: Seq[(Int, Int)]): DataFrame = {
-    val u0    = LocalEnum.order(p, 0).head
-    val start = edges.select(col("src").as(s"v$u0")).distinct()
-    extend(edges, p, sb, start, Vector(u0))
-  }
+  def run(spark: SparkSession, edges: DataFrame, p: Pattern, sb: Seq[(Int, Int)]): DataFrame =
+    extend(edges, p, sb, edges.select(col("src").as("v0")).distinct(), Vector(0))
 
   /** DuckDB SQL equivalent over an `edges(src, dst)` table that stores both
     * directions. All columns are stored as VARCHAR by the Oracle, hence the

@@ -1,8 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
-import repro.core.{BaselineMetrics, IntermediateOverflowException, LocalEnum}
 import repro.graph.PartitionedGraph
 import repro.query.Pattern
 
@@ -19,24 +18,12 @@ import repro.query.Pattern
   */
 object PSgL {
 
-  final case class Run(df: DataFrame, count: Long, metrics: BaselineMetrics)
-
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
-          maxIntermediate: Long = Long.MaxValue): Run = {
-    val t0    = System.currentTimeMillis()
-    val u0    = LocalEnum.order(p, 0).head
-    val start = spark.range(pg.graph.n).select(col("id").cast("int").as(s"v$u0"))
-    var shuffledTuples = 0L
-    var shuffledBytes  = 0L
-    val out = JoinEnum.extend(pg.edgesDf(spark), p, sb, start, Vector(u0),
-      onStep = (df, step) => {
-        val c = df.persist().count() // one superstep: partials materialize and move
-        if (c > maxIntermediate) throw new IntermediateOverflowException(c, maxIntermediate)
-        shuffledTuples += c
-        shuffledBytes  += c * (step + 1) * 8L
-      }).persist()
-    val count = out.count()
-    Run(out, count,
-      BaselineMetrics("PSgL", shuffledTuples, shuffledBytes, p.n - 1, System.currentTimeMillis() - t0))
+          maxIntermediate: Long = Long.MaxValue): BaselineRun = {
+    val tally = new Tally(maxIntermediate)
+    val start = spark.range(pg.graph.n).select(col("id").cast("int").as("v0"))
+    // each step is one superstep: the partial matches materialize and move
+    val out   = JoinEnum.extend(pg.edgesDf(spark), p, sb, start, Vector(0), onStep = tally(_)).persist()
+    tally.result("PSgL", p.n - 1, out, out.count())
   }
 }

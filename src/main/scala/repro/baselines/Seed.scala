@@ -1,7 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.BaselineMetrics
+import org.apache.spark.sql.SparkSession
 import repro.graph.PartitionedGraph
 import repro.query.Pattern
 import scala.collection.mutable
@@ -15,84 +14,50 @@ import scala.collection.mutable
   */
 object Seed {
 
-  final case class Run(df: DataFrame, count: Long, metrics: BaselineMetrics)
+  sealed trait Unit_ {
+    /** The unit's pattern vertices, in the column order of its matches. */
+    def vs: Vector[Int]
+    /** The pattern edges the unit covers, as (smaller, larger). */
+    def edges: Vector[(Int, Int)]
+  }
+  final case class CliqueUnit(vs: Vector[Int]) extends Unit_ {
+    def edges: Vector[(Int, Int)] = for (a <- vs; b <- vs if a < b) yield (a, b)
+  }
+  final case class StarUnit(piv: Int, leaves: Vector[Int]) extends Unit_ {
+    def vs: Vector[Int] = piv +: leaves
+    def edges: Vector[(Int, Int)] = leaves.map(l => (math.min(piv, l), math.max(piv, l)))
+  }
 
-  sealed trait Unit_
-  final case class CliqueUnit(vs: Vector[Int]) extends Unit_
-  final case class StarUnit(piv: Int, leaves: Vector[Int]) extends Unit_
-
-  /** Greedy: largest clique (4 then 3) with an uncovered edge and overlap
-    * with the matched part; otherwise a maximal star of uncovered edges.
+  /** Greedy: the first clique, by size in `cliqueSizes` order, with an
+    * uncovered edge and overlap with the matched part; otherwise a star of
+    * at most `maxLeaves` uncovered edges, pivoted at the matched vertex with
+    * the most of them (any vertex for the first unit). With no cliques and
+    * two leaves this is TwinTwig's decomposition.
     */
-  def decompose(p: Pattern): Vector[Unit_] = {
+  def decompose(p: Pattern, cliqueSizes: Seq[Int] = Seq(4, 3), maxLeaves: Int = Int.MaxValue): Vector[Unit_] = {
     val uncovered = mutable.LinkedHashSet.from(p.edges)
     val touched   = mutable.Set[Int]()
     val units     = mutable.ArrayBuffer[Unit_]()
-
-    def cliques(size: Int): Seq[Vector[Int]] =
-      (0 until p.n).combinations(size).map(_.toVector)
-        .filter(vs => vs.combinations(2).forall { case Vector(a, b) => p.hasEdge(a, b) })
-        .toSeq
-
-    def coverClique(vs: Vector[Int]): Unit = {
-      units += CliqueUnit(vs)
-      for (a <- vs; b <- vs if a < b) uncovered -= ((a, b))
-      touched ++= vs
-    }
-    def coverStar(piv: Int): Unit = {
-      val inc = uncovered.filter { case (a, b) => a == piv || b == piv }.toVector
-      val lf  = inc.map { case (a, b) => if (a == piv) b else a }
-      units += StarUnit(piv, lf)
-      inc.foreach(uncovered -= _)
-      touched += piv; touched ++= lf
-    }
+    def incident(v: Int) = uncovered.filter { case (a, b) => a == v || b == v }
 
     while (uncovered.nonEmpty) {
       val first = units.isEmpty
-      val cliqueOpt = Seq(4, 3).iterator.flatMap { k =>
-        cliques(k).filter { vs =>
-          val hasUncovered = vs.combinations(2).exists { case Vector(a, b) => uncovered.contains((a, b)) }
-          hasUncovered && (first || vs.exists(touched.contains))
-        }
-      }.toSeq.headOption
-      cliqueOpt match {
-        case Some(vs) => coverClique(vs)
-        case None =>
-          val cands =
-            if (first) (0 until p.n).toVector
-            else touched.toVector.filter(v => uncovered.exists { case (a, b) => a == v || b == v })
-          val piv = cands.maxBy(v => (uncovered.count { case (a, b) => a == v || b == v }, -v))
-          coverStar(piv)
+      val clique = cliqueSizes.iterator.flatMap(p.cliques).map(CliqueUnit(_)).find { c =>
+        c.edges.exists(uncovered.contains) && (first || c.vs.exists(touched.contains))
       }
+      val unit = clique.getOrElse {
+        val cands = if (first) 0 until p.n else touched.toVector.filter(incident(_).nonEmpty)
+        val piv   = cands.maxBy(v => (incident(v).size, -v))
+        StarUnit(piv, incident(piv).take(maxLeaves).toVector.map { case (a, b) => if (a == piv) b else a })
+      }
+      units += unit
+      uncovered --= unit.edges
+      touched ++= unit.vs
     }
     units.toVector
   }
 
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
-          maxIntermediate: Long = Long.MaxValue): Run = {
-    val t0    = System.currentTimeMillis()
-    val edges = pg.edgesDf(spark).persist()
-    edges.count()
-    val units = decompose(p)
-    val coveredEdges = units.flatMap {
-      case CliqueUnit(vs)      => for (a <- vs; b <- vs if a < b) yield (a, b)
-      case StarUnit(piv, lf)   => lf.map(l => (math.min(piv, l), math.max(piv, l)))
-    }.toSet
-    require(p.edges.toSet.subsetOf(coveredEdges), s"SEED units must cover all edges of ${p.name}")
-
-    val unitDfs = units.map {
-      case CliqueUnit(vs) if vs.size == 3 =>
-        (s"tri(${vs.mkString(",")})", UnitJoins.triangleDf(edges, vs(0), vs(1), vs(2)), vs)
-      case CliqueUnit(vs) =>
-        (s"k4(${vs.mkString(",")})", UnitJoins.k4Df(edges, vs(0), vs(1), vs(2), vs(3)), vs)
-      case StarUnit(piv, lf) =>
-        (s"star($piv;${lf.mkString(",")})", UnitJoins.starDf(edges, piv, lf), (piv +: lf).distinct)
-    }
-    val (df, tuples, bytes) = UnitJoins.foldJoin(spark, p, sb, unitDfs.toVector, maxIntermediate)
-    val out   = df.persist()
-    val count = out.count()
-    edges.unpersist(blocking = false)
-    Run(out, count,
-      BaselineMetrics("SEED", tuples, bytes, units.size, System.currentTimeMillis() - t0))
-  }
+          maxIntermediate: Long = Long.MaxValue): BaselineRun =
+    UnitJoins.run(spark, pg, "SEED", p, sb, decompose(p), maxIntermediate)
 }

@@ -2,13 +2,14 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.PartitionedGraph
 import repro.query.Pattern
 import scala.collection.mutable
 
-/** Shared machinery of the join-based baselines (TwinTwig, SEED):
-  * per-unit match DataFrames (stars / cliques from the edge relation) and
-  * the multi-round fold join that shuffles intermediates — exactly the cost
-  * the paper's §8 attributes to these systems.
+/** The one run of the unit-join baselines (TwinTwig, SEED): per-unit match
+  * DataFrames (stars / cliques from the edge relation) and the multi-round
+  * fold join that shuffles intermediates — exactly the cost the paper's §8
+  * attributes to these systems.
   */
 object UnitJoins {
 
@@ -48,63 +49,49 @@ object UnitJoins {
     df.where(col(s"v$d") =!= col(s"v$b")).where(col(s"v$d") =!= col(s"v$c"))
   }
 
-  /** Left-deep fold join of unit-match DataFrames with injectivity and
-    * symmetry breaking applied as soon as their columns exist.
-    *
-    * @param units (label, matchDf, vertices) — consecutive units must share
-    *              at least one vertex with the accumulated set
-    * @return (result, shuffledTuples, shuffledBytes) where the shuffled
-    *         volume counts every unit input and every intermediate join
-    *         output (the MapReduce rounds of TwinTwig/SEED)
+  /** Runs a unit-join baseline (TwinTwig, SEED): matches every unit on the
+    * edge relation, then left-deep joins them in order, with injectivity and
+    * symmetry breaking applied as soon as their columns exist. The units
+    * must cover exactly the pattern's edges, and each must share a vertex
+    * with the ones before it. Every unit's matches and every join's output
+    * are tallied: the MapReduce rounds whose shuffles the paper's §8 charges
+    * to these systems.
     */
-  def foldJoin(
-      spark: SparkSession,
-      p: Pattern,
-      sb: Seq[(Int, Int)],
-      units: Vector[(String, DataFrame, Vector[Int])],
-      maxIntermediate: Long = Long.MaxValue): (DataFrame, Long, Long) = {
-    var shuffledTuples = 0L
-    var shuffledBytes  = 0L
-    def account(df: DataFrame, width: Int): DataFrame = {
-      val cached = df.persist()
-      val c = cached.count()
-      if (c > maxIntermediate) throw new repro.core.IntermediateOverflowException(c, maxIntermediate)
-      shuffledTuples += c
-      shuffledBytes  += c * width * 8L
-      cached
+  def run(spark: SparkSession, pg: PartitionedGraph, name: String, p: Pattern, sb: Seq[(Int, Int)],
+          units: Vector[Seed.Unit_], maxIntermediate: Long): BaselineRun = {
+    require(units.flatMap(_.edges).toSet == p.edges.toSet, s"$name units must cover exactly the edges of ${p.name}")
+    val tally = new Tally(maxIntermediate)
+    val edges = pg.edgesDf(spark).persist()
+    edges.count()
+    val matches = units.map {
+      case Seed.CliqueUnit(Vector(a, b, c)) => triangleDf(edges, a, b, c)
+      case Seed.CliqueUnit(vs)              => k4Df(edges, vs(0), vs(1), vs(2), vs(3))
+      case Seed.StarUnit(piv, lf)           => starDf(edges, piv, lf)
     }
 
-    val sbLeft = mutable.ArrayBuffer.from(sb)
-    val mapped = mutable.ArrayBuffer.from(units.head._3)
-    var df     = account(units.head._2, mapped.size)
-    def applySb(d0: DataFrame): DataFrame = {
-      var d = d0
-      val ready = sbLeft.filter { case (a, b) => mapped.contains(a) && mapped.contains(b) }
-      ready.foreach { case (a, b) => d = d.where(col(s"v$a") < col(s"v$b")) }
-      sbLeft --= ready
-      d
-    }
-    df = applySb(df)
-
-    units.tail.foreach { case (_, unitDf, vs) =>
-      val shared = vs.filter(mapped.contains)
+    val mapped = mutable.ArrayBuffer.from(units.head.vs)
+    tally(matches.head)
+    var df = JoinEnum.whereSb(matches.head, sb, mapped, units.head.vs)
+    units.zip(matches).tail.foreach { case (unit, unitDf) =>
+      val shared = unit.vs.filter(mapped.contains)
       require(shared.nonEmpty, "unit join needs a shared vertex")
-      val fresh  = vs.filterNot(mapped.contains)
-      account(unitDf, vs.size)
+      val fresh  = unit.vs.filterNot(mapped.contains)
+      tally(unitDf)
       // rename the unit's shared columns, join on equality
       var u = unitDf
       shared.foreach(s => u = u.withColumnRenamed(s"v$s", s"_j$s"))
-      val cond = shared.map(s => col(s"v$s") === col(s"_j$s")).reduce(_ && _)
-      df = df.join(u, cond)
+      df = df.join(u, shared.map(s => col(s"v$s") === col(s"_j$s")).reduce(_ && _))
       shared.foreach(s => df = df.drop(s"_j$s"))
-      fresh.foreach { f => mapped.foreach { w => if (w != f) df = df.where(col(s"v$f") =!= col(s"v$w")) } }
+      for (f <- fresh; w <- mapped) df = df.where(col(s"v$f") =!= col(s"v$w"))
       for (i <- fresh.indices; j <- 0 until i)
         df = df.where(col(s"v${fresh(i)}") =!= col(s"v${fresh(j)}"))
       mapped ++= fresh
-      df = applySb(df)
-      df = account(df, mapped.size)
+      df = JoinEnum.whereSb(df, sb, mapped, fresh)
+      tally(df)
     }
-    require(mapped.toSet == (0 until p.n).toSet, "units must cover the pattern")
-    (df.select((0 until p.n).map(i => col(s"v$i")): _*), shuffledTuples, shuffledBytes)
+    val out = df.select((0 until p.n).map(i => col(s"v$i")): _*).persist()
+    val run = tally.result(name, units.size, out, out.count())
+    edges.unpersist(blocking = false)
+    run
   }
 }

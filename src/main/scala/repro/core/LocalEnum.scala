@@ -28,12 +28,12 @@ object LocalEnum {
     */
   final case class Result(count: Long, embeddings: Vector[Array[Int]], partials: Long)
 
-  /** Matching order starting at `root`: greedy BFS maximizing matched
-    * neighbors, then degree, then id.
+  /** Matching order starting at `start` (the root, or vertices already
+    * matched): greedy BFS maximizing matched neighbors, then degree, then id.
     */
-  def order(p: Pattern, root: Int): Vector[Int] = {
-    val out  = mutable.ArrayBuffer(root)
-    val seen = mutable.Set(root)
+  def order(p: Pattern, start: Int*): Vector[Int] = {
+    val out  = mutable.ArrayBuffer.from(start)
+    val seen = mutable.Set.from(start)
     while (out.size < p.n) {
       val cands = (0 until p.n).filterNot(seen.contains)
         .filter(u => p.neighbors(u).exists(seen.contains))

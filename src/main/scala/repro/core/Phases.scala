@@ -226,13 +226,15 @@ object Phases {
     * [[PlanCtx.packedKey]]s, see [[MachineState.failedKeys]]), is recorded,
     * so the next round's copy, its fetch requests and the harvest skip
     * every refuted EC ([[PlanCtx.refuted]]). On the final round, harvest the
-    * surviving embeddings into a result chunk.
+    * surviving embeddings: count them, and with `keep` copy them into a
+    * result chunk (a count-only run keeps none).
     */
   def filter(
       ctx: PlanCtx,
       st: MachineState,
       failed: Array[Long],
-      harvest: Boolean): MachineState = {
+      harvest: Boolean,
+      keep: Boolean): MachineState = {
 
     val verified = st.stats.copy(verifyEdges = st.stats.verifyEdges + st.evi.length)
     if (!harvest)
@@ -241,21 +243,24 @@ object Phases {
     else {
       val round = ctx.depths.indexOf(st.trie.depth)
       val harvested = Vector.newBuilder[Array[Int]]
-      ctx.foreachUnrefuted(st.trie, round, failed)(f => harvested += f.clone())
+      var found = 0L
+      ctx.foreachUnrefuted(st.trie, round, failed) { f => found += 1; if (keep) harvested += f.clone() }
       val chunk = harvested.result()
-      val stats = verified.copy(distEmbeddings = verified.distEmbeddings + chunk.size)
+      val stats = verified.copy(distEmbeddings = verified.distEmbeddings + found)
       new MachineState(st.mid, st.groups, new EmbeddingTrie(1), Array.emptyLongArray,
         Array.emptyLongArray, st.cache, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
     }
   }
 
   /** [[filter]] for round `i` with no verification edge: nothing fails, and an EVI throws. */
-  def unverified(ctx: PlanCtx, st: MachineState, i: Int, harvest: Boolean): MachineState =
+  def unverified(ctx: PlanCtx, st: MachineState, i: Int, harvest: Boolean, keep: Boolean = true): MachineState =
     if (st.evi.nonEmpty) throw new IllegalStateException(
       s"machine ${st.mid}, round $i: ${st.evi.length} undetermined edges in a round with no verification edge")
-    else if (harvest) filter(ctx, st, Array.emptyLongArray, harvest = true) else st
+    else if (harvest) filter(ctx, st, Array.emptyLongArray, harvest = true, keep) else st
 
   /** [[filter]] with the failed keys as (a, b) pairs, for callers outside the engine. */
-  def filter(ctx: PlanCtx, st: MachineState, failedEdges: Set[(Int, Int)], harvest: Boolean): MachineState =
-    filter(ctx, st, PlanCtx.sortedDistinct(failedEdges.iterator.map((PlanCtx.packedKey _).tupled).toArray), harvest)
+  def filter(ctx: PlanCtx, st: MachineState, failedEdges: Set[(Int, Int)], harvest: Boolean,
+             keep: Boolean = true): MachineState =
+    filter(ctx, st, PlanCtx.sortedDistinct(failedEdges.iterator.map((PlanCtx.packedKey _).tupled).toArray),
+      harvest, keep)
 }

@@ -303,7 +303,8 @@ object RMeefEngine {
                    fetched: Map[Int, Array[Int]]): Iterator[(Int, MachineState)] = {
           val (mid, st) = sIter.next()
           val next = Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)
-          Iterator((mid, if (verify) next else Phases.unverified(ctx, next, i, harvest = lastRound)))
+          Iterator((mid,
+            if (verify) next else Phases.unverified(ctx, next, i, harvest = lastRound, keep = cfg.keepEmbeddings)))
         }
         // round 0 pivots are local by construction, so only later rounds fetchV
         val expanded =
@@ -329,7 +330,7 @@ object RMeefEngine {
             materialize(unfiltered.zipPartitions(verResp) { (sIter, rIter) =>
               val (mid, st) = sIter.next()
               val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
-              Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound)))
+              Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound, keep = cfg.keepEmbeddings)))
             })
           }
       }

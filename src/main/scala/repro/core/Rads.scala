@@ -18,7 +18,7 @@ object Rads {
     *                       scores (eqs. 3–4) the planner ranks plans by
     * @param seed           seeds the start draws of region grouping (Alg. 3)
     * @param keepEmbeddings collect the embeddings into `RadsRun.embeddings`;
-    *                       when false the run only counts them
+    *                       when false SM-E and the harvest only count them
     * @param plan           the execution plan to run. `None` runs
     *                       `Planner.dataPlan` on the data graph's degree
     *                       sequence; `Some(Planner.bestPlan(q))` runs the

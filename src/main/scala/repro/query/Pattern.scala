@@ -21,6 +21,11 @@ final case class Pattern(name: String, n: Int, edgeList: Vector[(Int, Int)]) {
   def hasEdge(a: Int, b: Int): Boolean = graph.hasEdge(a, b)
   def numEdges: Int = edges.size
 
+  /** The k-cliques of the pattern as ascending vertex lists, in combination order. */
+  def cliques(k: Int): Vector[Vector[Int]] =
+    (0 until n).combinations(k).map(_.toVector)
+      .filter(vs => vs.forall(a => vs.forall(b => a == b || hasEdge(a, b)))).toVector
+
   /** All-pairs shortest distances (BFS per vertex — patterns are tiny). */
   lazy val dist: Array[Array[Int]] = Array.tabulate(n)(u => graph.bfsDistances(u))
 

@@ -124,6 +124,22 @@ class BaselineEnginesSuite extends SparkSpec {
     assert(gotSeed == seed)
   }
 
+  test("Crystal's count and shuffled tuples and bytes are pinned on q1-q8, each intermediate at its width") {
+    // (count, shuffledTuples, shuffledBytes); the bytes fell from charging every
+    // tuple at the pattern's full width (q1: 601 x 4 x 8 = 19232 B)
+    val want = Map(
+      "q1" -> (96L, 601L, 15960L), "q2" -> (291L, 582L, 18624L),
+      "q3" -> (340L, 2645L, 86808L), "q4" -> (172L, 638L, 23168L),
+      "q5" -> (1462L, 3850L, 172736L), "q6" -> (1258L, 10589L, 424696L),
+      "q7" -> (39L, 658L, 19632L), "q8" -> (442L, 3671L, 131320L))
+    val got = Queries.main.map { q =>
+      val run = Crystal.run(spark, pg, q, Automorphism.symmetryBreaking(q), index)
+      run.df.unpersist()
+      q.name -> (run.count, run.metrics.shuffledTuples, run.metrics.shuffledBytes)
+    }.toMap
+    assert(got == want)
+  }
+
   test("TwinTwig's and SEED's decompositions are pinned on every query") {
     def star(piv: Int, lf: Int*) = Seed.StarUnit(piv, lf.toVector)
     def clique(vs: Int*) = Seed.CliqueUnit(vs.toVector)

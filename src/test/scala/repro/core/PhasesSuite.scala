@@ -117,6 +117,15 @@ class PhasesSuite extends AnyFunSuite {
     assert(harvested == reference)
   }
 
+  test("a count-only harvest keeps no result chunk and counts as a collecting one") {
+    val failed1 = verify(round1)
+    val collect = Phases.filter(ctx, round1, failed1, harvest = true)
+    val count   = Phases.filter(ctx, round1, failed1, harvest = true, keep = false)
+    assert(round1.resultChunks.isEmpty && count.resultChunks.isEmpty)
+    assert(collect.resultChunks.flatten.size == 2)
+    assert(count.stats == collect.stats && count.stats.distEmbeddings == 2)
+  }
+
   test("an expand that fetched copies the previous cache; one that fetched nothing shares it (D8)") {
     val init = Phases.init(ctx, 0, block, owner, budgetBytes = 1e9, smeEnabled = false, seed = 1)
     assert(init.cache.length == g.n && init.cache.forall(_ == null))
