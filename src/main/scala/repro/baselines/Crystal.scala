@@ -109,9 +109,11 @@ object Crystal {
         edges.select(col("src").as(s"v${clique(0)}"), col("dst").as(s"v${clique(1)}"))
     }
 
-    // each join step is one MR round of the crystal join, and the result is charged once more
-    val out = JoinEnum.extend(edges, p, sb, seedDf, clique, onStep = tally(_))
-    val run = tally.result("Crystal", p.n - clique.size, out, tally(out))
+    // each join step is one MR round of the crystal join and is charged; the last
+    // is the result, which is charged itself only if the clique covers the pattern
+    val out   = JoinEnum.extend(edges, p, sb, seedDf, clique, onStep = tally(_))
+    val count = if (clique.size == p.n) tally(out) else out.persist().count()
+    val run   = tally.result("Crystal", p.n - clique.size, out, count)
     edges.unpersist(blocking = false)
     run
   }

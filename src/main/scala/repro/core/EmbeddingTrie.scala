@@ -69,9 +69,14 @@ final class EmbeddingTrie(val depth: Int) extends Serializable {
     out
   }
 
-  /** Bytes in the paper's trie model: 20 B per node. */
-  def etBytes: Long = nodeCount * 20L
+  /** Bytes in the paper's trie model: [[EmbeddingTrie.NodeBytes]] per node. */
+  def etBytes: Long = nodeCount * EmbeddingTrie.NodeBytes
 
   /** Bytes of the equivalent flat embedding list: 8 B per mapped vertex. */
   def elBytes: Long = resultCount * depth * 8L
+}
+
+object EmbeddingTrie {
+  /** Bytes of one trie node in the paper's model (§5). */
+  val NodeBytes: Long = 20L
 }

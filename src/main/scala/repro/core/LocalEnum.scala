@@ -43,6 +43,15 @@ object LocalEnum {
     out.toVector
   }
 
+  /** Injectivity: `v` is the image of no query vertex in `f` (-1 where
+    * unmapped). A scan, not a set, because patterns have a few vertices.
+    */
+  def unused(f: Array[Int], v: Int): Boolean = {
+    var j = 0
+    while (j < f.length && f(j) != v) j += 1
+    j == f.length
+  }
+
   /** Enumerate embeddings with `f(rootVertex)` ranging over `roots`.
     *
     * @param adjOf   total adjacency function (sorted arrays; empty array for
@@ -70,7 +79,6 @@ object LocalEnum {
     }
 
     val f    = Array.fill(p.n)(-1)
-    val used = mutable.Set[Int]()
     var count = 0L
     var partials = 0L
     val keep = mutable.ArrayBuffer[Array[Int]]()
@@ -87,7 +95,7 @@ object LocalEnum {
         val v = base(i)
         // accept() must imply adjOf(v) is the true adjacency (SM-E passes a
         // locality predicate), so the degree filter below is always sound.
-        if (!used.contains(v) && accept(v) && adjOf(v).length >= p.degree(u)) {
+        if (unused(f, v) && accept(v) && adjOf(v).length >= p.degree(u)) {
           var ok = true
           var j = 1
           while (ok && j < lists.length) {
@@ -98,9 +106,9 @@ object LocalEnum {
             f(other) == -1 || (if (otherIsSmaller) f(other) < v else v < f(other))
           }
           if (ok) {
-            f(u) = v; used += v; partials += 1
+            f(u) = v; partials += 1
             rec(k + 1)
-            f(u) = -1; used -= v
+            f(u) = -1
           }
         }
         i += 1
@@ -109,9 +117,9 @@ object LocalEnum {
 
     roots.foreach { r =>
       if (accept(r) && adjOf(r).length >= p.degree(ord.head)) {
-        f(ord.head) = r; used += r; partials += 1
+        f(ord.head) = r; partials += 1
         rec(1)
-        f(ord.head) = -1; used -= r
+        f(ord.head) = -1
       }
     }
     Result(count, keep.toVector, partials)

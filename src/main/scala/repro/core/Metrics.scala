@@ -14,12 +14,7 @@ final case class CommStats(
     verifyReqBytes: Long,
     verifyRespBytes: Long) {
   def totalBytes: Long = fetchReqBytes + fetchRespBytes + verifyReqBytes + verifyRespBytes
-  def +(o: CommStats): CommStats = CommStats(
-    fetchReqBytes + o.fetchReqBytes, fetchRespBytes + o.fetchRespBytes,
-    verifyReqBytes + o.verifyReqBytes, verifyRespBytes + o.verifyRespBytes)
 }
-
-object CommStats { val zero: CommStats = CommStats(0, 0, 0, 0) }
 
 /** Per-machine statistics aggregated across region groups and rounds. */
 final case class MachineStats(
@@ -33,17 +28,17 @@ final case class MachineStats(
     cacheHits: Long = 0,
     verifyEdges: Long = 0,
     sumEtNodes: Long = 0,
-    sumEtBytes: Long = 0,
     sumElBytes: Long = 0,
-    peakEtBytes: Long = 0,
-    peakElBytes: Long = 0) {
+    peakEtBytes: Long = 0) {
   def +(o: MachineStats): MachineStats = MachineStats(
     smeCandidates + o.smeCandidates, distCandidates + o.distCandidates,
     smeEmbeddings + o.smeEmbeddings, distEmbeddings + o.distEmbeddings,
     regionGroups + o.regionGroups, fetchedVertices + o.fetchedVertices,
     fetchedAdjEntries + o.fetchedAdjEntries, cacheHits + o.cacheHits, verifyEdges + o.verifyEdges,
-    sumEtNodes + o.sumEtNodes, sumEtBytes + o.sumEtBytes, sumElBytes + o.sumElBytes,
-    math.max(peakEtBytes, o.peakEtBytes), math.max(peakElBytes, o.peakElBytes))
+    sumEtNodes + o.sumEtNodes, sumElBytes + o.sumElBytes, math.max(peakEtBytes, o.peakEtBytes))
+
+  /** Bytes of every trie built, in the paper's trie model. */
+  def sumEtBytes: Long = sumEtNodes * EmbeddingTrie.NodeBytes
 
   /** Every fetched vertex and every verified EVI key is one request and one
     * response.

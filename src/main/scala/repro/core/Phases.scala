@@ -45,19 +45,21 @@ object Phases {
       rootVertex = uStart, keepEmbeddings = keepEmbeddings, accept = isLocal)
 
     // --- memory estimate (§6) and region groups (Alg. 3) ---
+    val node = EmbeddingTrie.NodeBytes.toDouble
     val estPerRoot =
-      if (smeCands.nonEmpty) math.max(20.0, 20.0 * sme.partials / smeCands.length)
+      if (smeCands.nonEmpty) math.max(node, node * sme.partials / smeCands.length)
       else {
         val avgDeg = if (local.nonEmpty) local.iterator.map(nbrs(_).length).sum.toDouble / local.length else 1.0
-        20.0 * math.max(2.0, avgDeg) * p.n
+        node * math.max(2.0, avgDeg) * p.n
       }
     val groups = RegionGroups.group(distCands.toVector, adjOf, estPerRoot, budgetBytes, seed + mid)
 
     val stats = MachineStats(
       smeCandidates = smeCands.length, distCandidates = distCands.length,
       smeEmbeddings = sme.count, regionGroups = groups.size)
+    // a copy of one entry per data vertex: no state shares the cached block
     new MachineState(mid, groups, new EmbeddingTrie(1),
-      Array.emptyLongArray, Array.emptyLongArray, new Array[Array[Int]](owner.length),
+      Array.emptyLongArray, Array.emptyLongArray, java.util.Arrays.copyOf(nbrs, owner.length),
       resultChunks = if (sme.embeddings.nonEmpty) List(sme.embeddings) else Nil,
       stats = stats)
   }
@@ -66,28 +68,26 @@ object Phases {
     * did not refute into the ECs of P_i through the pivot's adjacency,
     * building a fresh trie and the EVI of undetermined edges (sorted packed
     * keys, repeats dropped once at the end). For round 0
-    * the sources are the region group's candidate vertices. A foreign pivot
-    * of an unrefuted EC whose adjacency is neither cached nor in `fetched`
-    * is an error, not a pruned branch. Adjacency is read from the block's
-    * and the cache's vertex-indexed arrays; a non-empty `fetched` goes into
-    * a copy of the previous cache, so no earlier state changes (D8, D10).
+    * the sources are the region group's candidate vertices. A pivot of an
+    * unrefuted EC whose adjacency is neither known nor in `fetched` is an
+    * error, not a pruned branch. Adjacency is read from the state's
+    * vertex-indexed `known` array; a non-empty `fetched` goes into a copy
+    * of it, so no earlier state changes (D8, D10).
     */
   def expand(
       ctx: PlanCtx,
       st: MachineState,
       block: AdjBlock,
-      fetched: Map[Int, Array[Int]],
+      fetched: Iterable[(Int, Array[Int])],
       owner: Array[Int],
       g: Int,
       i: Int): MachineState = {
 
     val p     = ctx.pattern
     val mid   = st.mid
-    val nbrs  = block.nbrs
-    val cache =
-      if (fetched.isEmpty) st.cache
-      else { val c = st.cache.clone(); fetched.foreach { case (v, nb) => c(v) = nb }; c }
-    def adjOrNull(v: Int): Array[Int] = if (owner(v) == mid) nbrs(v) else cache(v)
+    val known =
+      if (fetched.isEmpty) st.known
+      else { val k = st.known.clone(); fetched.foreach { case (v, nb) => k(v) = nb }; k }
 
     val piv     = ctx.pivOf(i)
     val leaves  = ctx.unitLeaves(i)
@@ -100,19 +100,12 @@ object Phases {
 
     // status of a data edge: 1 if it exists, 0 if not, -1 if it cannot be decided here
     def edgeStatus(x: Int, y: Int): Int = {
-      val ax = adjOrNull(x)
+      val ax = known(x)
       if (ax != null) { if (java.util.Arrays.binarySearch(ax, y) >= 0) 1 else 0 }
       else {
-        val ay = adjOrNull(y)
+        val ay = known(y)
         if (ay == null) -1 else if (java.util.Arrays.binarySearch(ay, x) >= 0) 1 else 0
       }
-    }
-
-    // injectivity: v is not yet the image of a query vertex
-    def unused(v: Int): Boolean = {
-      var j = 0
-      while (j < f.length && f(j) != v) j += 1
-      j == f.length
     }
 
     /** Algorithm 2 over unit i's leaves from k on, below the node last pushed one level up. */
@@ -125,9 +118,9 @@ object Phases {
       var ci = 0
       while (ci < pivAdj.length) {
         val v = pivAdj(ci)
-        var ok = unused(v)
+        var ok = LocalEnum.unused(f, v)
         if (ok) { // candidate-level degree filter when adjacency is known
-          val av = adjOrNull(v)
+          val av = known(v)
           if (av != null && av.length < degU) ok = false
         }
         var j = 0
@@ -193,10 +186,10 @@ object Phases {
             }
           } else {
             val vPiv   = f(piv)
-            val pivAdj = adjOrNull(vPiv)
+            val pivAdj = known(vPiv)
             if (pivAdj == null)
               throw new IllegalStateException(s"machine $mid, round $i: no adjacency for pivot vertex $vPiv")
-            if (owner(vPiv) != mid && st.cache(vPiv) != null) cacheHits += 1
+            if (owner(vPiv) != mid && st.known(vPiv) != null) cacheHits += 1
             success = adjEnum(0, pivAdj)
           }
           if (!success) newTrie.pop(level)
@@ -210,15 +203,13 @@ object Phases {
 
     val stats = st.stats.copy(
       fetchedVertices = st.stats.fetchedVertices + fetched.size,
-      fetchedAdjEntries = st.stats.fetchedAdjEntries + fetched.valuesIterator.map(_.length.toLong).sum,
+      fetchedAdjEntries = st.stats.fetchedAdjEntries + fetched.iterator.map(_._2.length.toLong).sum,
       cacheHits = st.stats.cacheHits + cacheHits,
       sumEtNodes = st.stats.sumEtNodes + newTrie.nodeCount,
-      sumEtBytes = st.stats.sumEtBytes + newTrie.etBytes,
       sumElBytes = st.stats.sumElBytes + newTrie.elBytes,
-      peakEtBytes = math.max(st.stats.peakEtBytes, newTrie.etBytes),
-      peakElBytes = math.max(st.stats.peakElBytes, newTrie.elBytes))
+      peakEtBytes = math.max(st.stats.peakEtBytes, newTrie.etBytes))
     new MachineState(mid, st.groups, newTrie, PlanCtx.sortedDistinct(evi.result()), Array.emptyLongArray,
-      cache, st.resultChunks, stats)
+      known, st.resultChunks, stats)
   }
 
   /** Verify & filter (Prop. 2) without a rebuild: the trie is kept as it is
@@ -239,7 +230,7 @@ object Phases {
     val verified = st.stats.copy(verifyEdges = st.stats.verifyEdges + st.evi.length)
     if (!harvest)
       new MachineState(st.mid, st.groups, st.trie, Array.emptyLongArray, failed,
-        st.cache, st.resultChunks, verified)
+        st.known, st.resultChunks, verified)
     else {
       val round = ctx.depths.indexOf(st.trie.depth)
       val harvested = Vector.newBuilder[Array[Int]]
@@ -248,7 +239,7 @@ object Phases {
       val chunk = harvested.result()
       val stats = verified.copy(distEmbeddings = verified.distEmbeddings + found)
       new MachineState(st.mid, st.groups, new EmbeddingTrie(1), Array.emptyLongArray,
-        Array.emptyLongArray, st.cache, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
+        Array.emptyLongArray, st.known, if (chunk.nonEmpty) chunk :: st.resultChunks else st.resultChunks, stats)
     }
   }
 

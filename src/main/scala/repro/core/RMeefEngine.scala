@@ -24,11 +24,11 @@ final class MidPartitioner(m: Int) extends Partitioner {
   override def hashCode(): Int = m
 }
 
-/** One machine's partition of the data graph, indexed by vertex id:
-  * `nbrs(v)` is the sorted adjacency of `v` if this machine owns it, and
-  * null otherwise. Expand looks up an adjacency once per candidate and per
-  * edge check, so the lookup is one array read, not a boxed map probe
-  * (DESIGN.md D10).
+/** One machine's partition of the data graph, indexed by vertex id
+  * ([[PartitionedGraph.adjBlock]]): `nbrs(v)` is the sorted adjacency of
+  * `v` if this machine owns it, and null otherwise. It answers `fetchV` and
+  * `verifyE` requests and round 0; expand reads a copy of it,
+  * [[MachineState.known]], that also holds the fetched lists (DESIGN.md D10).
   */
 final case class AdjBlock(mid: Int, nbrs: Array[Array[Int]]) {
   /** The block as a map, for callers outside the engine. */
@@ -57,15 +57,6 @@ final case class AdjBlock(mid: Int, nbrs: Array[Array[Int]]) {
     */
   def existing(keys: Array[Long]): Array[Long] =
     keys.filter(k => java.util.Arrays.binarySearch(adjOf(PlanCtx.smaller(k)), PlanCtx.larger(k)) >= 0)
-}
-
-object AdjBlock {
-  /** The block of the owned adjacency `adj`, vertex id -> sorted neighbours. */
-  def apply(mid: Int, adj: Map[Int, Array[Int]]): AdjBlock = {
-    val nbrs = new Array[Array[Int]](if (adj.isEmpty) 0 else adj.keysIterator.max + 1)
-    adj.foreach { case (v, nb) => nbrs(v) = nb }
-    AdjBlock(mid, nbrs)
-  }
 }
 
 /** Static, serializable context shared by all R-Meef phases. */
@@ -169,8 +160,9 @@ object PlanCtx {
   * refuted. Both are sorted [[PlanCtx.packedKey]]s without repeats.
   * `trie` is the flat level-array trie of the current round, so caching
   * the state costs Spark's size estimate a few arrays, not a walk over
-  * every node. `cache` holds the fetched foreign adjacency by vertex id,
-  * null where nothing was fetched; it has one entry per data vertex, and
+  * every node. `known` is the machine's whole view of adjacency, indexed
+  * by vertex id: the owned lists from init, the foreign lists fetched since,
+  * and null for every other vertex. It has one entry per data vertex, and
   * expand copies it before adding to it (D10).
   */
 final class MachineState(
@@ -179,22 +171,22 @@ final class MachineState(
     val trie: EmbeddingTrie,
     val evi: Array[Long],
     val failed: Array[Long],
-    val cache: Array[Array[Int]],
+    val known: Array[Array[Int]],
     val resultChunks: List[Vector[Array[Int]]],
     val stats: MachineStats) extends Serializable {
 
-  /** Distinct foreign, uncached pivot images of the unrefuted ECs, to
-    * fetch for round `i` — the paper's single batched fetchV request (§3.2
-    * Expand).
+  /** Distinct pivot images of the unrefuted ECs whose adjacency is not
+    * known, in vertex order, to fetch for round `i` — the paper's single
+    * batched fetchV request (§3.2 Expand). Owned lists are known from init,
+    * so `owner` is not read; the traced replay still passes it.
     */
   def pendingFetch(ctx: PlanCtx, i: Int, owner: Array[Int]): Iterator[Int] = {
-    val piv = ctx.pivOf(i)
-    val out = mutable.LinkedHashSet[Int]()
+    val piv     = ctx.pivOf(i)
+    val pending = new java.util.BitSet(known.length)
     ctx.foreachUnrefuted(trie, i - 1, failed) { f =>
-      val v = f(piv)
-      if (owner(v) != mid && cache(v) == null) out += v
+      if (known(f(piv)) == null) pending.set(f(piv))
     }
-    out.iterator
+    Iterator.iterate(pending.nextSetBit(0))(v => pending.nextSetBit(v + 1)).takeWhile(_ >= 0)
   }
 
   /** The EVI split by the owner of each key's smaller endpoint: one sorted,
@@ -234,7 +226,7 @@ final case class RadsRun(
   *
   * Layout: `m` logical machines == `m` RDD partitions, and machine t is
   * partition t ([[MidPartitioner]]). Per-machine state (embedding trie, EVI,
-  * foreign-vertex cache) lives in an `RDD[(mid, MachineState)]` and the
+  * known adjacency) lives in an `RDD[(mid, MachineState)]` and the
   * adjacency blocks in an `RDD[(mid, AdjBlock)]` with the same partitioner,
   * so the two are zipped partition by partition. A round runs one expand,
   * before it (in every round but the first) one request/response cycle for
@@ -300,7 +292,7 @@ object RMeefEngine {
         val lastRound = i == ctx.numRounds - 1
         // -- expand: build ECs of P_i into a fresh trie + EVI; filter here if nothing to verify --
         def expand(sIter: Iterator[(Int, MachineState)], aIter: Iterator[(Int, AdjBlock)],
-                   fetched: Map[Int, Array[Int]]): Iterator[(Int, MachineState)] = {
+                   fetched: Iterable[(Int, Array[Int])]): Iterator[(Int, MachineState)] = {
           val (mid, st) = sIter.next()
           val next = Phases.expand(ctx, st, aIter.next()._2, fetched, ownerBc.value, g, i)
           Iterator((mid,
@@ -308,13 +300,13 @@ object RMeefEngine {
         }
         // round 0 pivots are local by construction, so only later rounds fetchV
         val expanded =
-          if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Map.empty))
+          if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Nil))
           else {
             val fetchResp = exchange(state.flatMap { case (mid, st) =>
               st.pendingFetch(ctx, i, ownerBc.value).map(v => (ownerBc.value(v), (mid, v)))
             })((block, v) => Iterator((v, block.adjOf(v))))
             state.zipPartitions(adjRdd, fetchResp)((sIter, aIter, rIter) =>
-              expand(sIter, aIter, rIter.map(_._2).toMap))
+              expand(sIter, aIter, rIter.map(_._2).toVector))
           }
 
         state =

@@ -45,9 +45,9 @@ final case class PartitionedGraph(graph: Graph, owner: Array[Int], m: Int) {
   lazy val borderDistance: Array[Int] =
     PartitionedGraph.borderDistance(Array.range(0, graph.n), graph.neighbors, owner)
 
-  /** Owned adjacency of one machine, as a map for task-local lookup. */
-  def adjBlock(t: Int): Map[Int, Array[Int]] =
-    localVertices(t).iterator.map(v => v -> graph.neighbors(v)).toMap
+  /** Owned adjacency of machine `t`, indexed by vertex id: null for a vertex `t` does not own. */
+  def adjBlock(t: Int): Array[Array[Int]] =
+    Array.tabulate(graph.n)(v => if (owner(v) == t) graph.neighbors(v) else null)
 
   /** Fraction of vertices that are border vertices (partition-quality stat). */
   def borderFraction: Double =

@@ -225,11 +225,14 @@ object Planner {
     * max eq.4 score → deterministic tiebreak. It sees the pattern only;
     * `Rads.enumerate` runs [[dataPlan]] unless given a plan.
     */
-  def bestPlan(p: Pattern, rho: Double = 1.0): ExecutionPlan = {
+  def bestPlan(p: Pattern, rho: Double = 1.0): ExecutionPlan = rank(p, rho)(_ => 0L)
+
+  /** The first candidate plan in [[dataPlan]]'s order, with `dataKey` as its data key. */
+  private def rank(p: Pattern, rho: Double)(dataKey: ExecutionPlan => Long): ExecutionPlan = {
     val cands = candidatePlans(p)
     require(cands.nonEmpty, s"no candidate plan for ${p.name}")
-    cands.minBy(pl =>
-      (pl.numRounds, p.span(pl.units.head.piv), -pl.score3(rho), -pl.score4(rho), pl.toString))
+    cands.minBy(pl => (pl.numRounds, p.span(pl.units.head.piv), dataKey(pl),
+      -pl.score3(rho), -pl.score4(rho), pl.toString))
   }
 
   /** The round-0 EC count the degree sequence fixes: every data vertex of
@@ -254,12 +257,8 @@ object Planner {
     * eq.4 score → deterministic tiebreak. `bestPlan` is the same order
     * without the data key.
     */
-  def dataPlan(p: Pattern, degreeCounts: Array[Long], rho: Double = 1.0): ExecutionPlan = {
-    val cands = candidatePlans(p)
-    require(cands.nonEmpty, s"no candidate plan for ${p.name}")
-    cands.minBy(pl => (pl.numRounds, p.span(pl.units.head.piv), round0Ecs(pl, degreeCounts),
-      -pl.score3(rho), -pl.score4(rho), pl.toString))
-  }
+  def dataPlan(p: Pattern, degreeCounts: Array[Long], rho: Double = 1.0): ExecutionPlan =
+    rank(p, rho)(round0Ecs(_, degreeCounts))
 
   /** App. C.2 baseline RanS: random star decomposition, no size limit. */
   def ranS(p: Pattern, seed: Long): ExecutionPlan = {

@@ -125,13 +125,13 @@ class BaselineEnginesSuite extends SparkSpec {
   }
 
   test("Crystal's count and shuffled tuples and bytes are pinned on q1-q8, each intermediate at its width") {
-    // (count, shuffledTuples, shuffledBytes); the bytes fell from charging every
-    // tuple at the pattern's full width (q1: 601 x 4 x 8 = 19232 B)
+    // (count, shuffledTuples, shuffledBytes); the last join step is the result
+    // and is charged once, as PSgL charges it (q2: one step of 291 tuples)
     val want = Map(
-      "q1" -> (96L, 601L, 15960L), "q2" -> (291L, 582L, 18624L),
-      "q3" -> (340L, 2645L, 86808L), "q4" -> (172L, 638L, 23168L),
-      "q5" -> (1462L, 3850L, 172736L), "q6" -> (1258L, 10589L, 424696L),
-      "q7" -> (39L, 658L, 19632L), "q8" -> (442L, 3671L, 131320L))
+      "q1" -> (96L, 505L, 12888L), "q2" -> (291L, 291L, 9312L),
+      "q3" -> (340L, 2305L, 73208L), "q4" -> (172L, 466L, 16288L),
+      "q5" -> (1462L, 2388L, 102560L), "q6" -> (1258L, 9331L, 364312L),
+      "q7" -> (39L, 619L, 17760L), "q8" -> (442L, 3229L, 110104L))
     val got = Queries.main.map { q =>
       val run = Crystal.run(spark, pg, q, Automorphism.symmetryBreaking(q), index)
       run.df.unpersist()

@@ -4,20 +4,12 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class MetricsSuite extends AnyFunSuite {
 
-  test("CommStats addition and total") {
-    val a = CommStats(1, 2, 3, 4)
-    val b = CommStats(10, 20, 30, 40)
-    assert((a + b) == CommStats(11, 22, 33, 44))
-    assert((a + b).totalBytes == 110)
-    assert(CommStats.zero.totalBytes == 0)
-  }
-
   test("MachineStats addition sums counters and maxes peaks") {
-    val a = MachineStats(smeEmbeddings = 5, distEmbeddings = 2, peakEtBytes = 100, peakElBytes = 10)
-    val b = MachineStats(smeEmbeddings = 1, distEmbeddings = 7, peakEtBytes = 40, peakElBytes = 90)
+    val a = MachineStats(smeEmbeddings = 5, distEmbeddings = 2, sumEtNodes = 3, peakEtBytes = 100)
+    val b = MachineStats(smeEmbeddings = 1, distEmbeddings = 7, sumEtNodes = 4, peakEtBytes = 40)
     val c = a + b
     assert(c.smeEmbeddings == 6 && c.distEmbeddings == 9)
-    assert(c.peakEtBytes == 100 && c.peakElBytes == 90)
+    assert(c.peakEtBytes == 100 && c.sumEtBytes == 7 * 20)
   }
 
   test("communication is priced from the per-machine counters") {

@@ -128,19 +128,33 @@ class PhasesSuite extends AnyFunSuite {
 
   test("an expand that fetched copies the previous cache; one that fetched nothing shares it (D8)") {
     val init = Phases.init(ctx, 0, block, owner, budgetBytes = 1e9, smeEnabled = false, seed = 1)
-    assert(init.cache.length == g.n && init.cache.forall(_ == null))
-    assert(Phases.expand(ctx, init, block, Map.empty, owner, g = 0, i = 0).cache eq init.cache)
-    val before = filtered0.cache.clone()
-    assert(round1.cache ne filtered0.cache)
-    assert(filtered0.cache.indices.forall(v => filtered0.cache(v) eq before(v)))
-    assert(Set(1, 2).forall(v => round1.cache(v).toSeq == g.neighbors(v).toSeq))
+    assert(init.known.length == g.n && init.known.indices.forall(v => (init.known(v) == null) == (owner(v) != 0)))
+    assert(Phases.expand(ctx, init, block, Map.empty, owner, g = 0, i = 0).known eq init.known)
+    val before = filtered0.known.clone()
+    assert(round1.known ne filtered0.known)
+    assert(filtered0.known.indices.forall(v => filtered0.known(v) eq before(v)))
+    assert(Set(1, 2).forall(v => round1.known(v).toSeq == g.neighbors(v).toSeq))
     // with both pivots cached, the expand fetches nothing and counts two hits
     val cached = new MachineState(0, filtered0.groups, filtered0.trie, filtered0.evi, filtered0.failed,
-      round1.cache, filtered0.resultChunks, filtered0.stats)
+      round1.known, filtered0.resultChunks, filtered0.stats)
     val again = Phases.expand(ctx, cached, block, Map.empty, owner, g = 0, i = 1)
-    assert(again.cache eq round1.cache)
+    assert(again.known eq round1.known)
     assert(again.stats.cacheHits == 2 && again.stats.fetchedVertices == 0)
     assert(paths(again.trie) == paths(round1.trie))
+  }
+
+  test("init knows exactly the owned lists; a fetching expand adds its lists to a copy") {
+    def ownedOnly(st: MachineState): Boolean = (0 until g.n).forall(v =>
+      if (owner(v) == 0) st.known(v).toSeq == g.neighbors(v).toSeq else st.known(v) == null)
+    val init = Phases.init(ctx, 0, block, owner, budgetBytes = 1e9, smeEnabled = false, seed = 1)
+    assert(ownedOnly(init))
+    // round 1 fetched the pivots 1 and 2
+    assert((0 until g.n).forall(v =>
+      if (owner(v) == 0 || v == 1 || v == 2) round1.known(v).toSeq == g.neighbors(v).toSeq
+      else round1.known(v) == null))
+    // the fetch changed neither the previous state nor the block
+    assert(ownedOnly(filtered0))
+    assert((0 until g.n).forall(v => (block.nbrs.lift(v).orNull != null) == (owner(v) == 0)))
   }
 
   test("a count-only init keeps no SM-E result chunk and counts as a collecting one") {

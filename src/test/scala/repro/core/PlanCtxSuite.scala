@@ -86,7 +86,7 @@ class PlanCtxSuite extends AnyFunSuite {
   }
 
   test("AdjBlock.hasEdge") {
-    val b = AdjBlock(0, Map(1 -> Array(2, 5, 9), 2 -> Array(1)))
+    val b = AdjBlock(0, Array(null, Array(2, 5, 9), Array(1)))
     assert(b.hasEdge(1, 5) && b.hasEdge(2, 1))
     assert(!b.hasEdge(1, 3) && !b.hasEdge(7, 1))
   }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.{Graph, PartitionedGraph}
 
 /** The batched verifyE protocol without Spark: the EVI as sorted packed
   * keys, split into one batch per owner machine, answered by the owner with
@@ -67,7 +68,7 @@ class VerifyBatchSuite extends AnyFunSuite {
     assert(e.getMessage.contains("machine 0") && e.getMessage.contains("(1, 3)"))
   }
 
-  private val block = AdjBlock(1, Map(1 -> Array(2, 5, 9), 2 -> Array(1), 4 -> Array.emptyIntArray))
+  private val block = AdjBlock(1, Array(null, Array(2, 5, 9), Array(1), null, Array.emptyIntArray))
 
   test("AdjBlock.existing answers exactly the keys that are edges") {
     val keys = Array((1, 2), (1, 3), (1, 5), (1, 9), (2, 7), (4, 5)).map { case (a, b) => PlanCtx.packedKey(a, b) }
@@ -82,21 +83,27 @@ class VerifyBatchSuite extends AnyFunSuite {
     assert(intercept[IllegalStateException](block.adjOf(7)).getMessage == "machine 1 does not own vertex 7")
   }
 
-  test("property: an AdjBlock built from a map answers adjOf, hasEdge and existing as the map does") {
-    val genAdj: Gen[Map[Int, Array[Int]]] =
-      Gen.mapOf(Gen.zip(Gen.choose(0, 15), Gen.listOf(Gen.choose(0, 15)).map(_.distinct.sorted.toArray)))
-    checkProp(Prop.forAll(genAdj) { adj =>
-      val b  = AdjBlock(3, adj)
+  test("property: an AdjBlock of pg.adjBlock answers adjOf, hasEdge and existing as the graph does") {
+    val genPg: Gen[PartitionedGraph] = for {
+      n     <- Gen.choose(0, 16)
+      edges <- Gen.listOf(Gen.zip(Gen.choose(0, 15), Gen.choose(0, 15)))
+      owner <- Gen.listOfN(n, Gen.choose(0, 2))
+    } yield PartitionedGraph(Graph.fromEdges(n, edges.filter { case (a, c) => a < n && c < n }), owner.toArray, 3)
+    checkProp(Prop.forAll(genPg) { pg =>
+      val g  = pg.graph
       val vs = -1 to 17
-      val owned = vs.forall(v => adj.get(v) match {
-        case Some(nb) => b.adjOf(v) eq nb
-        case None     => scala.util.Try(b.adjOf(v)).failed.toOption.exists(_.isInstanceOf[IllegalStateException])
-      })
-      val edges = vs.forall(a => vs.forall(c => b.hasEdge(a, c) == adj.get(a).exists(_.contains(c))))
-      val keys  = adj.keys.toArray.flatMap(a => vs.filter(_ > a).map(PlanCtx.packedKey(a, _)))
-      val exist = b.existing(keys).toSeq == keys.toSeq.filter(k =>
-        adj(PlanCtx.smaller(k)).contains(PlanCtx.larger(k)))
-      owned && edges && exist && b.adj.keySet == adj.keySet && adj.forall { case (v, nb) => b.adj(v) eq nb }
+      (0 until 3).forall { t =>
+        val b = AdjBlock(t, pg.adjBlock(t))
+        def owns(v: Int) = v >= 0 && v < g.n && pg.owner(v) == t
+        val owned = vs.forall(v =>
+          if (owns(v)) b.adjOf(v) eq g.neighbors(v)
+          else scala.util.Try(b.adjOf(v)).failed.toOption.exists(_.isInstanceOf[IllegalStateException]))
+        val edges = vs.forall(a => vs.forall(c => b.hasEdge(a, c) == (owns(a) && g.hasEdge(a, c))))
+        val keys  = pg.localVertices(t).flatMap(a => vs.filter(_ > a).map(PlanCtx.packedKey(a, _)))
+        val exist = b.existing(keys).toSeq == keys.toSeq.filter(k => g.hasEdge(PlanCtx.smaller(k), PlanCtx.larger(k)))
+        owned && edges && exist && b.nbrs.length == g.n && b.adj.keySet == pg.localVertices(t).toSet &&
+          b.adj.forall { case (v, nb) => nb eq g.neighbors(v) }
+      }
     })
   }
 

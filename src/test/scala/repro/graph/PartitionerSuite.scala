@@ -102,8 +102,9 @@ class PartitionerSuite extends AnyFunSuite {
     val pg = PartitionedGraph.metis(grid, 3, seed = 9)
     (0 until 3).foreach { t =>
       val block = pg.adjBlock(t)
-      assert(block.keySet == pg.localVertices(t).toSet)
-      block.foreach { case (v, nb) => assert(nb.toSeq == grid.neighbors(v).toSeq) }
+      assert(block.length == grid.n)
+      assert(block.indices.filter(block(_) != null) == pg.localVertices(t).toSeq)
+      pg.localVertices(t).foreach(v => assert(block(v).toSeq == grid.neighbors(v).toSeq))
     }
   }
 

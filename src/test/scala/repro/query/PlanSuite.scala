@@ -233,4 +233,27 @@ class PlanSuite extends AnyFunSuite {
     assert(data.units.head.leaves.size == 2, data.toString)
     assert(Planner.round0Ecs(data, pl.degreeCounts) < Planner.round0Ecs(Planner.bestPlan(q), pl.degreeCounts))
   }
+
+  test("bestPlan and dataPlan are pinned on every query") {
+    // (bestPlan, dataPlan) on the power-law graph
+    val want = Map(
+      "q1" -> ("Plan[q1: dp0(piv=0,lf=1,3) ; dp1(piv=1,lf=2)]", "Plan[q1: dp0(piv=0,lf=1,3) ; dp1(piv=1,lf=2)]"),
+      "q2" -> ("Plan[q2: dp0(piv=0,lf=1,2,3)]", "Plan[q2: dp0(piv=0,lf=1,2,3)]"),
+      "q3" -> ("Plan[q3: dp0(piv=0,lf=1,4) ; dp1(piv=1,lf=2) ; dp2(piv=2,lf=3)]",
+        "Plan[q3: dp0(piv=0,lf=1,4) ; dp1(piv=1,lf=2) ; dp2(piv=2,lf=3)]"),
+      "q4" -> ("Plan[q4: dp0(piv=0,lf=1,3,4) ; dp1(piv=1,lf=2)]", "Plan[q4: dp0(piv=0,lf=1,3) ; dp1(piv=1,lf=2,4)]"),
+      "q5" -> ("Plan[q5: dp0(piv=1,lf=0,2,4) ; dp1(piv=2,lf=3,5)]", "Plan[q5: dp0(piv=1,lf=0,2,4) ; dp1(piv=2,lf=3,5)]"),
+      "q6" -> ("Plan[q6: dp0(piv=0,lf=1,5) ; dp1(piv=1,lf=2) ; dp2(piv=2,lf=3) ; dp3(piv=3,lf=4)]",
+        "Plan[q6: dp0(piv=0,lf=1,5) ; dp1(piv=1,lf=2) ; dp2(piv=2,lf=3) ; dp3(piv=3,lf=4)]"),
+      "q7" -> ("Plan[q7: dp0(piv=0,lf=3,4,5) ; dp1(piv=3,lf=1,2)]", "Plan[q7: dp0(piv=0,lf=3,4,5) ; dp1(piv=3,lf=1,2)]"),
+      "q8" -> ("Plan[q8: dp0(piv=0,lf=1,3,5) ; dp1(piv=3,lf=2,4)]", "Plan[q8: dp0(piv=0,lf=1,3,5) ; dp1(piv=3,lf=2,4)]"),
+      "tq1" -> ("Plan[tq1: dp0(piv=0,lf=1,2,3)]", "Plan[tq1: dp0(piv=0,lf=1,2,3)]"),
+      "tq2" -> ("Plan[tq2: dp0(piv=0,lf=1,2,3)]", "Plan[tq2: dp0(piv=0,lf=1,2,3)]"),
+      "tq3" -> ("Plan[tq3: dp0(piv=3,lf=0,1,2,4)]", "Plan[tq3: dp0(piv=3,lf=0,1,2,4)]"),
+      "tq4" -> ("Plan[tq4: dp0(piv=0,lf=1,2,3,4)]", "Plan[tq4: dp0(piv=0,lf=1,2,3,4)]"),
+      "triangle" -> ("Plan[triangle: dp0(piv=0,lf=1,2)]", "Plan[triangle: dp0(piv=0,lf=1,2)]"))
+    val got = Queries.all.map(q =>
+      q.name -> (Planner.bestPlan(q).toString, Planner.dataPlan(q, pl.degreeCounts).toString)).toMap
+    assert(got == want)
+  }
 }
