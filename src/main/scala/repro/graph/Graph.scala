@@ -111,10 +111,6 @@ final class Graph private (val adj: Array[Array[Int]]) extends Serializable {
     count
   }
 
-  /** Sorted intersection of two adjacency arrays (linear merge). */
-  def commonNeighbors(a: Int, b: Int): Array[Int] =
-    Graph.intersectSorted(adj(a), adj(b))
-
   override def toString: String = s"Graph(n=$n, m=$numEdges, avgDeg=${"%.2f".format(avgDegree)})"
 }
 

@@ -147,78 +147,27 @@ object Planner {
     seen.size == d.size
   }
 
-  /** All minimum-round candidate plans: every MCDS × root × leaf-attachment
-    * combo × valid unit order, capped for safety (patterns are tiny).
+  /** Every minimum-round plan: each sequence of c_P units (Def. 7) that
+    * matches the whole pattern. The first pivot is any vertex, each later
+    * pivot a matched vertex that has not pivoted yet, and a unit's leaves
+    * any non-empty set of its pivot's unmatched neighbours. By Thm. 1 the
+    * pivots form an MCDS, so this covers every spanning tree of every MCDS.
     */
-  def candidatePlans(p: Pattern, maxPlans: Int = 5000): Vector[ExecutionPlan] = {
-    val (_, cdss) = minCds(p)
-    val out = mutable.ArrayBuffer[ExecutionPlan]()
-    for (d <- cdss; root <- d.toVector.sorted if out.size < maxPlans) {
-      out ++= plansFrom(p, d, root, maxPlans - out.size)
-    }
-    out.toVector
-  }
-
-  /** Plans from one MCDS and root, following the Thm. 1 construction:
-    * a BFS tree over the induced MCDS, every outside vertex attached as a
-    * leaf to one of its MCDS neighbors (all combos), every D-vertex a pivot.
-    */
-  private def plansFrom(p: Pattern, d: Set[Int], root: Int, cap: Int): Vector[ExecutionPlan] = {
-    // BFS tree over induced D
-    val parent = mutable.Map[Int, Int](root -> -1)
-    val order  = mutable.ArrayBuffer(root)
-    val q      = mutable.ArrayDeque(root)
-    while (q.nonEmpty) {
-      val v = q.removeHead()
-      p.neighbors(v).foreach { w =>
-        if (d.contains(w) && !parent.contains(w)) { parent(w) = v; order += w; q.append(w) }
-      }
-    }
-    if (order.size != d.size) return Vector.empty // induced D not connected from root (cannot happen for CDS)
-
-    val outside = (0 until p.n).filterNot(d.contains).toVector
-    val choices = outside.map(w => p.neighbors(w).filter(d.contains).toVector.sorted)
-    if (choices.exists(_.isEmpty)) return Vector.empty
-
-    val out = mutable.ArrayBuffer[ExecutionPlan]()
-    def combos(i: Int, attach: Map[Int, Vector[Int]]): Unit = {
-      if (out.size >= cap) return
-      if (i == outside.size) {
-        // units: one per D vertex; leaves = D-tree children + attached outsiders
-        val unitsByPiv = order.map { dv =>
-          val treeKids = order.filter(w => parent.get(w).contains(dv)).toVector
-          dv -> (treeKids ++ attach.getOrElse(dv, Vector.empty))
-        }.toMap
-        if (unitsByPiv.values.exists(_.isEmpty)) return // a D vertex with no leaves: not a valid unit seq
-        // all unit orders that respect D-tree ancestry (root's unit first)
-        unitOrders(order.toVector, parent.toMap).foreach { seq =>
-          if (out.size < cap)
-            out += ExecutionPlan(p, seq.map(dv => DecompUnit(dv, unitsByPiv(dv).sorted)))
+  def candidatePlans(p: Pattern): Vector[ExecutionPlan] = {
+    val depth = minCds(p)._1
+    def search(units: Vector[DecompUnit], matched: Set[Int]): Iterator[Vector[DecompUnit]] =
+      if (matched.size == p.n) Iterator(units)
+      else if (units.size == depth) Iterator.empty
+      else {
+        val pivots =
+          if (units.isEmpty) 0 until p.n else matched.toVector.sorted.filterNot(v => units.exists(_.piv == v))
+        pivots.iterator.flatMap { piv =>
+          val free = p.neighbors(piv).toVector.filterNot(matched)
+          (1 to free.size).iterator.flatMap(free.combinations)
+            .flatMap(lf => search(units :+ DecompUnit(piv, lf), matched + piv ++ lf))
         }
-        return
       }
-      val w = outside(i)
-      choices(i).foreach { dv =>
-        combos(i + 1, attach.updated(dv, attach.getOrElse(dv, Vector.empty) :+ w))
-      }
-    }
-    combos(0, Map.empty)
-    out.toVector
-  }
-
-  /** Linear extensions of the D-tree ancestry (root first). */
-  private def unitOrders(ds: Vector[Int], parent: Map[Int, Int]): Vector[Vector[Int]] = {
-    val out = mutable.ArrayBuffer[Vector[Int]]()
-    def rec(done: Vector[Int], remaining: Set[Int]): Unit = {
-      if (out.size >= 64) return // plenty of orders for scoring
-      if (remaining.isEmpty) { out += done; return }
-      remaining.toVector.sorted.foreach { dv =>
-        val par = parent(dv)
-        if (par == -1 || done.contains(par)) rec(done :+ dv, remaining - dv)
-      }
-    }
-    rec(Vector.empty, ds.toSet)
-    out.toVector
+    search(Vector.empty, Set.empty).map(ExecutionPlan(p, _)).toVector
   }
 
   /** The paper's plan: min rounds → min span of dp0.piv → max eq.3 score →
@@ -263,21 +212,14 @@ object Planner {
   /** App. C.2 baseline RanS: random star decomposition, no size limit. */
   def ranS(p: Pattern, seed: Long): ExecutionPlan = {
     val rng     = new Random(seed)
-    val covered = mutable.Set[Int]()
+    val covered = mutable.Set(rng.nextInt(p.n))
     val units   = mutable.ArrayBuffer[DecompUnit]()
-    val start   = rng.nextInt(p.n)
-    covered += start
-    var guard = 0
-    while (covered.size < p.n && guard < 100) {
+    while (covered.size < p.n) {
       val pivs = covered.toVector.filter(v => p.neighbors(v).exists(w => !covered.contains(w)))
       val piv  = pivs(rng.nextInt(pivs.size))
       val lf   = p.neighbors(piv).filter(w => !covered.contains(w)).toVector
       units += DecompUnit(piv, lf)
       covered ++= lf
-      guard += 1
-    }
-    if (units.isEmpty) { // trivial single-unit fallback (start dominates everything)
-      units += DecompUnit(start, p.neighbors(start).toVector)
     }
     ExecutionPlan(p, units.toVector)
   }

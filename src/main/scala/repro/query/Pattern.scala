@@ -15,6 +15,7 @@ final case class Pattern(name: String, n: Int, edgeList: Vector[(Int, Int)]) {
   require(edges.forall { case (a, b) => a >= 0 && b < n && a != b }, s"bad edges in $name")
 
   val graph: Graph = Graph.fromEdges(n, edges)
+  require(graph.isConnected, s"pattern $name is not connected")
 
   def degree(u: Int): Int = graph.degree(u)
   def neighbors(u: Int): Array[Int] = graph.neighbors(u)

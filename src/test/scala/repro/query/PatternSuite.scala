@@ -36,6 +36,11 @@ class PatternSuite extends AnyFunSuite {
     Queries.all.foreach(q => assert(q.isConnected, q.name))
   }
 
+  test("a disconnected pattern is rejected by name") {
+    val e = intercept[IllegalArgumentException](Pattern("split", 4, Vector((0, 1), (2, 3))))
+    assert(e.getMessage.contains("split"))
+  }
+
   test("clique queries contain the advertised cliques") {
     assert(Queries.tq2.numEdges == 6 && Queries.tq2.graph.triangleCount == 4) // K4
     assert(Queries.tq1.graph.triangleCount == 2)                              // diamond

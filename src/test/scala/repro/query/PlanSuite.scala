@@ -256,4 +256,96 @@ class PlanSuite extends AnyFunSuite {
       q.name -> (Planner.bestPlan(q).toString, Planner.dataPlan(q, pl.degreeCounts).toString)).toMap
     assert(got == want)
   }
+
+  test("candidate-set sizes are pinned") {
+    val want = Seq(
+      Queries.q1 -> 8, Queries.q2 -> 1, Queries.q3 -> 20, Queries.q4 -> 8, Queries.q5 -> 2,
+      Queries.q6 -> 48, Queries.q7 -> 8, Queries.q8 -> 2, Queries.tq1 -> 2, Queries.tq2 -> 4,
+      Queries.tq3 -> 1, Queries.tq4 -> 1, Queries.triangle -> 3, Queries.path(5) -> 4,
+      Queries.cycle(5) -> 20, Queries.cycle(7) -> 112, Queries.star(4) -> 1, Queries.clique(5) -> 5)
+    assert(want.map { case (q, _) => q.name -> Planner.candidatePlans(q).size } ==
+      want.map { case (q, n) => q.name -> n })
+  }
+
+  test("ranS is pinned on the main queries for seeds 1 to 5") {
+    val want = Map(
+      "q1" -> Seq(
+        "Plan[q1: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0)]",
+        "Plan[q1: dp0(piv=2,lf=1,3) ; dp1(piv=3,lf=0)]",
+        "Plan[q1: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0)]",
+        "Plan[q1: dp0(piv=2,lf=1,3) ; dp1(piv=3,lf=0)]",
+        "Plan[q1: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0)]"),
+      "q2" -> Seq(
+        "Plan[q2: dp0(piv=2,lf=0,1) ; dp1(piv=0,lf=3)]",
+        "Plan[q2: dp0(piv=2,lf=0,1) ; dp1(piv=0,lf=3)]",
+        "Plan[q2: dp0(piv=2,lf=0,1) ; dp1(piv=0,lf=3)]",
+        "Plan[q2: dp0(piv=2,lf=0,1) ; dp1(piv=0,lf=3)]",
+        "Plan[q2: dp0(piv=2,lf=0,1) ; dp1(piv=0,lf=3)]"),
+      "q3" -> Seq(
+        "Plan[q3: dp0(piv=0,lf=1,4) ; dp1(piv=1,lf=2) ; dp2(piv=2,lf=3)]",
+        "Plan[q3: dp0(piv=3,lf=2,4) ; dp1(piv=4,lf=0) ; dp2(piv=0,lf=1)]",
+        "Plan[q3: dp0(piv=4,lf=0,3) ; dp1(piv=0,lf=1) ; dp2(piv=3,lf=2)]",
+        "Plan[q3: dp0(piv=2,lf=1,3) ; dp1(piv=3,lf=4) ; dp2(piv=4,lf=0)]",
+        "Plan[q3: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0) ; dp2(piv=3,lf=4)]"),
+      "q4" -> Seq(
+        "Plan[q4: dp0(piv=0,lf=1,3,4) ; dp1(piv=1,lf=2)]",
+        "Plan[q4: dp0(piv=3,lf=0,2) ; dp1(piv=2,lf=1) ; dp2(piv=0,lf=4)]",
+        "Plan[q4: dp0(piv=4,lf=0,1) ; dp1(piv=0,lf=3) ; dp2(piv=3,lf=2)]",
+        "Plan[q4: dp0(piv=2,lf=1,3) ; dp1(piv=3,lf=0) ; dp2(piv=1,lf=4)]",
+        "Plan[q4: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0,4)]"),
+      "q5" -> Seq(
+        "Plan[q5: dp0(piv=3,lf=0,2) ; dp1(piv=0,lf=1,4) ; dp2(piv=2,lf=5)]",
+        "Plan[q5: dp0(piv=4,lf=0,1) ; dp1(piv=1,lf=2) ; dp2(piv=0,lf=3) ; dp3(piv=2,lf=5)]",
+        "Plan[q5: dp0(piv=2,lf=1,3,5) ; dp1(piv=1,lf=0,4)]",
+        "Plan[q5: dp0(piv=2,lf=1,3,5) ; dp1(piv=3,lf=0) ; dp2(piv=1,lf=4)]",
+        "Plan[q5: dp0(piv=5,lf=2) ; dp1(piv=2,lf=1,3) ; dp2(piv=3,lf=0) ; dp3(piv=0,lf=4)]"),
+      "q6" -> Seq(
+        "Plan[q6: dp0(piv=3,lf=2,4) ; dp1(piv=2,lf=1) ; dp2(piv=1,lf=0) ; dp3(piv=0,lf=5)]",
+        "Plan[q6: dp0(piv=4,lf=3,5) ; dp1(piv=5,lf=0) ; dp2(piv=0,lf=1) ; dp3(piv=1,lf=2)]",
+        "Plan[q6: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0) ; dp2(piv=3,lf=4) ; dp3(piv=0,lf=5)]",
+        "Plan[q6: dp0(piv=2,lf=1,3) ; dp1(piv=3,lf=4) ; dp2(piv=4,lf=5) ; dp3(piv=5,lf=0)]",
+        "Plan[q6: dp0(piv=5,lf=0,4) ; dp1(piv=0,lf=1) ; dp2(piv=4,lf=3) ; dp3(piv=1,lf=2)]"),
+      "q7" -> Seq(
+        "Plan[q7: dp0(piv=3,lf=0,1,2) ; dp1(piv=1,lf=4,5)]",
+        "Plan[q7: dp0(piv=4,lf=0,1,2) ; dp1(piv=2,lf=3) ; dp2(piv=0,lf=5)]",
+        "Plan[q7: dp0(piv=2,lf=3,4) ; dp1(piv=3,lf=0,1) ; dp2(piv=1,lf=5)]",
+        "Plan[q7: dp0(piv=2,lf=3,4) ; dp1(piv=4,lf=0,1) ; dp2(piv=1,lf=5)]",
+        "Plan[q7: dp0(piv=5,lf=0,1) ; dp1(piv=0,lf=3,4) ; dp2(piv=4,lf=2)]"),
+      "q8" -> Seq(
+        "Plan[q8: dp0(piv=3,lf=0,2,4) ; dp1(piv=2,lf=1) ; dp2(piv=0,lf=5)]",
+        "Plan[q8: dp0(piv=4,lf=3,5) ; dp1(piv=5,lf=0) ; dp2(piv=0,lf=1) ; dp3(piv=1,lf=2)]",
+        "Plan[q8: dp0(piv=2,lf=1,3) ; dp1(piv=1,lf=0) ; dp2(piv=3,lf=4) ; dp3(piv=0,lf=5)]",
+        "Plan[q8: dp0(piv=2,lf=1,3) ; dp1(piv=3,lf=0,4) ; dp2(piv=4,lf=5)]",
+        "Plan[q8: dp0(piv=5,lf=0,4) ; dp1(piv=0,lf=1,3) ; dp2(piv=3,lf=2)]"))
+    assert(Queries.main.map(q => q.name -> (1L to 5L).map(Planner.ranS(q, _).toString)).toMap == want)
+  }
+
+  test("the paper's PL1 and PL2 are both candidates for Fig. 2(a), among 12") {
+    val cands = Planner.candidatePlans(fig2a)
+    assert(cands.size == 12)
+    assert(cands.contains(pl1) && cands.contains(pl2))
+  }
+
+  /** A random connected pattern of 2 to 7 vertices: a random spanning tree plus random extra edges. */
+  private val connectedPattern: Gen[Pattern] = for {
+    n      <- Gen.choose(2, 7)
+    tree   <- Gen.sequence[Vector[(Int, Int)], (Int, Int)]((1 until n).map(v => Gen.choose(0, v - 1).map(u => (u, v))))
+    extras <- Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+  } yield Pattern(s"rnd${tree.mkString}", n, tree ++ extras.filter { case (a, b) => a != b })
+
+  private def connectedDominating(p: Pattern, d: Set[Int]): Boolean = {
+    val reach = Graph.fromEdges(p.n, p.edges.filter { case (a, b) => d(a) && d(b) }).bfsDistances(d.head)
+    (0 until p.n).forall(v => d(v) || p.neighbors(v).exists(d)) && d.forall(reach(_) != Int.MaxValue)
+  }
+
+  test("property: every candidate has c_P distinct pivots forming a connected dominating set, with no repeats") {
+    checkProp(Prop.forAll(connectedPattern) { p =>
+      val (c, mcds) = Planner.minCds(p)
+      val cands     = Planner.candidatePlans(p)
+      val pivots    = cands.map(_.units.map(_.piv))
+      cands.nonEmpty && cands.distinct.size == cands.size &&
+      pivots.forall(ps => ps.size == c && ps.distinct.size == c && connectedDominating(p, ps.toSet)) &&
+      pivots.map(_.toSet).toSet == mcds.toSet
+    })
+  }
 }
