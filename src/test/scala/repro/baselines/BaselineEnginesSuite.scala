@@ -197,6 +197,26 @@ class BaselineEnginesSuite extends SparkSpec {
     assert(Files.exists(index.dir.resolve("cliques3.txt")))
   }
 
+  test("Crystal index's size, clique counts and file contents are pinned") {
+    // (bytesOnDisk, triangles, 4-cliques, SHA-256 of cliques2/3/4.txt); the
+    // suite's graph has no 4-clique, the denser one has some
+    def pin(ix: Crystal.CliqueIndex) = (ix.bytesOnDisk, ix.triangles.length, ix.k4s.length,
+      Seq("cliques2.txt", "cliques3.txt", "cliques4.txt").map { f =>
+        java.security.MessageDigest.getInstance("SHA-256")
+          .digest(Files.readAllBytes(ix.dir.resolve(f))).map(b => f"$b%02x").mkString
+      })
+    val dense = Crystal.buildIndex(GraphGen.ukLite(300, seed = 7, edgesPerVertex = 4, maxDegree = 48),
+      Files.createTempDirectory("crystal-pin"))
+    assert(pin(index) == ((857L, 21, 0, Seq(
+      "b7e1734c0502e20080c43f327d2bb594d5cf028c8d7bb87a17fb5485df78f014",
+      "e05c9591fd28328cf0a101ca0d4a98b78fdb23415c793fde1176d8ab293a6541",
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"))))
+    assert(pin(dense) == ((12693L, 427, 62, Seq(
+      "5c4af0102e80db0a609b70ff8c15ad10dd9e695c6291e8426bde534f1298a34d",
+      "85384eb12553e578c2f832250da8223f3712c222f8ff952f7095c4496a7a118c",
+      "ec822f271569debdae0b5c25f946249081dd19795120d2144956fdf66cf6dfdd"))))
+  }
+
   test("Crystal seeds from the largest pattern clique") {
     assert(Crystal.largestPatternClique(Queries.tq2).size == 4)
     assert(Crystal.largestPatternClique(Queries.q2).size == 3)
