@@ -157,7 +157,6 @@ object BenchTables {
         // consistency: all engines that completed agree on the count
         val counts = rows.takeRight(5).filterNot(_.oom).map(_.count).distinct
         require(counts.size == 1, s"$ds/${q.name}: engines disagree: $counts")
-        spark.sqlContext.clearCache()
       }
     }
     rows.toSeq

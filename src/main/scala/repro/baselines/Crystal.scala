@@ -4,9 +4,9 @@ import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
+import repro.core.LocalEnum
 import repro.graph.{Graph, PartitionedGraph}
-import repro.query.Pattern
-import scala.collection.mutable
+import repro.query.{Automorphism, Pattern, Queries}
 
 /** Crystal-lite (Qiao et al., PVLDB'17 — deviation D4 in DESIGN.md).
   *
@@ -21,53 +21,36 @@ import scala.collection.mutable
   */
 object Crystal {
 
-  /** The clique index. `bytesOnDisk` is what Table 2 compares against the
-    * plain adjacency-list file of the data graph.
+  /** The clique index, each clique ascending and the lists in lexicographic
+    * order. `bytesOnDisk` is what Table 2 compares against the plain
+    * adjacency-list file of the data graph.
     */
   final case class CliqueIndex(
-      triangles: Array[(Int, Int, Int)],
-      k4s: Array[(Int, Int, Int, Int)],
+      triangles: Array[Array[Int]],
+      k4s: Array[Array[Int]],
       bytesOnDisk: Long,
       dir: Path)
 
-  /** Enumerate all triangles / 4-cliques of `g` and persist them as the
-    * on-disk index (text, same encoding as the data-graph file so the
-    * Table 2 size comparison is apples-to-apples).
+  /** Enumerate all triangles / 4-cliques of `g` ([[LocalEnum.reference]] on
+    * the k-clique with f(0) < … < f(k-1)) and persist them as the on-disk
+    * index (text, same encoding as the data-graph file so the Table 2 size
+    * comparison is apples-to-apples).
     */
   def buildIndex(g: Graph, dir: Path): CliqueIndex = {
     Files.createDirectories(dir)
-    val tris = mutable.ArrayBuffer[(Int, Int, Int)]()
-    val k4s  = mutable.ArrayBuffer[(Int, Int, Int, Int)]()
-    var a = 0
-    while (a < g.n) {
-      val na = g.neighbors(a).filter(_ > a)
-      var i = 0
-      while (i < na.length) {
-        val b = na(i)
-        val common = Graph.intersectSorted(na, g.neighbors(b)).filter(_ > b)
-        var j = 0
-        while (j < common.length) {
-          val c = common(j)
-          tris += ((a, b, c))
-          // extend to 4-cliques: d > c adjacent to a, b, c
-          val commonD = Graph.intersectSorted(common, g.neighbors(c)).filter(_ > c)
-          var k = 0
-          while (k < commonD.length) { k4s += ((a, b, c, commonD(k))); k += 1 }
-          j += 1
-        }
-        i += 1
-      }
-      a += 1
-    }
+    def cliques(k: Int) =
+      LocalEnum.reference(Queries.clique(k), g, Automorphism.symmetryBreaking(Queries.clique(k))).embeddings.toArray
+    val tris = cliques(3)
+    val k4s  = cliques(4)
     // persist: edges (2-cliques), triangles, 4-cliques
     val pe = dir.resolve("cliques2.txt")
     val pt = dir.resolve("cliques3.txt")
     val pk = dir.resolve("cliques4.txt")
     writeLines(pe, g.edges.map { case (x, y) => s"$x $y" })
-    writeLines(pt, tris.iterator.map { case (x, y, z) => s"$x $y $z" })
-    writeLines(pk, k4s.iterator.map { case (x, y, z, w) => s"$x $y $z $w" })
+    writeLines(pt, tris.iterator.map(_.mkString(" ")))
+    writeLines(pk, k4s.iterator.map(_.mkString(" ")))
     val bytes = Seq(pe, pt, pk).map(Files.size).sum
-    CliqueIndex(tris.toArray, k4s.toArray, bytes, dir)
+    CliqueIndex(tris, k4s, bytes, dir)
   }
 
   private def writeLines(p: Path, lines: Iterator[String]): Unit = {
@@ -91,30 +74,22 @@ object Crystal {
   def run(spark: SparkSession, pg: PartitionedGraph, p: Pattern, sb: Seq[(Int, Int)],
           index: CliqueIndex, maxIntermediate: Long = Long.MaxValue): BaselineRun = {
     val tally  = new Tally(maxIntermediate)
-    val edges  = pg.edgesDf(spark).persist()
-    edges.count()
+    val edges  = tally.keep(pg.edgesDf(spark))
     val clique = largestPatternClique(p)
 
-    val seedDf: DataFrame = clique.size match {
-      case k if k >= 3 =>
+    val seedDf: DataFrame =
+      if (clique.size >= 3) {
         // load the crystal straight from the index: all injective orderings
-        val rows = (if (k == 4) index.k4s.iterator.map(t => Seq(t._1, t._2, t._3, t._4))
-                    else index.triangles.iterator.map(t => Seq(t._1, t._2, t._3)))
-          .flatMap(vs => vs.permutations)
-          .map(Row.fromSeq)
-          .toSeq
+        val rows = (if (clique.size == 4) index.k4s else index.triangles).iterator
+          .flatMap(_.toSeq.permutations).map(Row.fromSeq).toSeq
         val schema = StructType(clique.map(u => StructField(s"v$u", IntegerType, nullable = false)))
         spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
-      case _ =>
-        edges.select(col("src").as(s"v${clique(0)}"), col("dst").as(s"v${clique(1)}"))
-    }
+      } else edges.select(col("src").as(s"v${clique(0)}"), col("dst").as(s"v${clique(1)}"))
 
     // each join step is one MR round of the crystal join and is charged; the last
     // is the result, which is charged itself only if the clique covers the pattern
     val out   = JoinEnum.extend(edges, p, sb, seedDf, clique, onStep = tally(_))
     val count = if (clique.size == p.n) tally(out) else out.persist().count()
-    val run   = tally.result("Crystal", p.n - clique.size, out, count)
-    edges.unpersist(blocking = false)
-    run
+    tally.result("Crystal", p.n - clique.size, out, count)
   }
 }

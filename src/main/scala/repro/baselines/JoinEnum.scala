@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.LocalEnum
 import repro.query.Pattern
@@ -18,8 +18,9 @@ object JoinEnum {
 
   /** Extend `start` (columns `v{u}` for `mapped` vertices) to the full
     * pattern, one vertex per step along [[LocalEnum.order]] from `mapped`.
-    * Used by JoinEnum itself, by PSgL, and by Crystal to grow from an
-    * index-seeded clique.
+    * Used by PSgL from every vertex, by TwinTwig and SEED to match each
+    * unit from its first edge, and by Crystal to grow from an index-seeded
+    * clique.
     *
     * @param onStep called with the intermediate DataFrame after each
     *               expansion step (for counting shuffled intermediates)
@@ -58,10 +59,6 @@ object JoinEnum {
   def whereSb(df: DataFrame, sb: Seq[(Int, Int)], mapped: collection.Seq[Int], fresh: Seq[Int]): DataFrame =
     sb.filter { case (a, b) => mapped.contains(a) && mapped.contains(b) && (fresh.contains(a) || fresh.contains(b)) }
       .foldLeft(df) { case (d, (a, b)) => d.where(col(s"v$a") < col(s"v$b")) }
-
-  /** Full enumeration starting from all vertices. */
-  def run(spark: SparkSession, edges: DataFrame, p: Pattern, sb: Seq[(Int, Int)]): DataFrame =
-    extend(edges, p, sb, edges.select(col("src").as("v0")).distinct(), Vector(0))
 
   /** DuckDB SQL equivalent over an `edges(src, dst)` table that stores both
     * directions. All columns are stored as VARCHAR by the Oracle, hence the

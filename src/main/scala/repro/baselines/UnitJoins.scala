@@ -7,46 +7,23 @@ import repro.query.Pattern
 import scala.collection.mutable
 
 /** The one run of the unit-join baselines (TwinTwig, SEED): per-unit match
-  * DataFrames (stars / cliques from the edge relation) and the multi-round
+  * DataFrames (each unit enumerated on the edge relation) and the multi-round
   * fold join that shuffles intermediates — exactly the cost the paper's §8
   * attributes to these systems.
   */
 object UnitJoins {
 
-  /** Matches of a star unit: pivot + 1..k leaves (no leaf-leaf edges).
-    * Columns `v{piv}`, `v{leaf_i}`; leaves mapped injectively.
+  /** Matches of one unit on the edge relation, columns `v{u}` for its
+    * vertices: [[JoinEnum.extend]] over the unit renumbered to 0..k-1
+    * (vertex 0 the pivot or first clique vertex), from the edges as (v0, v1).
     */
-  def starDf(edges: DataFrame, piv: Int, leaves: Vector[Int]): DataFrame = {
-    var df = edges.select(col("src").as(s"v$piv"), col("dst").as(s"v${leaves.head}"))
-    leaves.tail.foreach { l =>
-      val e = edges.select(col("src").as("_s"), col("dst").as(s"v$l"))
-      df = df.join(e, col(s"v$piv") === col("_s")).drop("_s")
-    }
-    for (i <- leaves.indices; j <- 0 until i)
-      df = df.where(col(s"v${leaves(i)}") =!= col(s"v${leaves(j)}"))
-    df
-  }
-
-  /** Matches of a triangle unit on pattern vertices (a, b, c). */
-  def triangleDf(edges: DataFrame, a: Int, b: Int, c: Int): DataFrame = {
-    val e1 = edges.select(col("src").as(s"v$a"), col("dst").as(s"v$b"))
-    val e2 = edges.select(col("src").as("_s"), col("dst").as(s"v$c"))
-    val e3 = edges.select(col("src").as("_ts"), col("dst").as("_td"))
-    e1.join(e2, col(s"v$b") === col("_s")).drop("_s")
-      .join(e3, col(s"v$a") === col("_ts") && col(s"v$c") === col("_td"), "left_semi")
-      .where(col(s"v$a") =!= col(s"v$c"))
-  }
-
-  /** Matches of a 4-clique unit on pattern vertices (a, b, c, d). */
-  def k4Df(edges: DataFrame, a: Int, b: Int, c: Int, d: Int): DataFrame = {
-    var df = triangleDf(edges, a, b, c)
-    val e  = edges.select(col("src").as("_s"), col("dst").as(s"v$d"))
-    df = df.join(e, col(s"v$a") === col("_s")).drop("_s")
-    Seq(b, c).foreach { x =>
-      val e2 = edges.select(col("src").as("_fs"), col("dst").as("_fd"))
-      df = df.join(e2, col(s"v$d") === col("_fs") && col(s"v$x") === col("_fd"), "left_semi")
-    }
-    df.where(col(s"v$d") =!= col(s"v$b")).where(col(s"v$d") =!= col(s"v$c"))
+  def unitDf(edges: DataFrame, unit: Seed.Unit_): DataFrame = {
+    val vs  = unit.vs
+    val idx = vs.zipWithIndex.toMap
+    val p   = Pattern("unit", vs.size, unit.edges.map { case (a, b) => (idx(a), idx(b)) })
+    val start = edges.select(col("src").as("v0"), col("dst").as("v1"))
+    JoinEnum.extend(edges, p, Nil, start, Vector(0, 1))
+      .select(vs.indices.map(i => col(s"v$i").as(s"v${vs(i)}")): _*)
   }
 
   /** Runs a unit-join baseline (TwinTwig, SEED): matches every unit on the
@@ -61,13 +38,8 @@ object UnitJoins {
           units: Vector[Seed.Unit_], maxIntermediate: Long): BaselineRun = {
     require(units.flatMap(_.edges).toSet == p.edges.toSet, s"$name units must cover exactly the edges of ${p.name}")
     val tally = new Tally(maxIntermediate)
-    val edges = pg.edgesDf(spark).persist()
-    edges.count()
-    val matches = units.map {
-      case Seed.CliqueUnit(Vector(a, b, c)) => triangleDf(edges, a, b, c)
-      case Seed.CliqueUnit(vs)              => k4Df(edges, vs(0), vs(1), vs(2), vs(3))
-      case Seed.StarUnit(piv, lf)           => starDf(edges, piv, lf)
-    }
+    val edges = tally.keep(pg.edgesDf(spark))
+    val matches = units.map(unitDf(edges, _))
 
     val mapped = mutable.ArrayBuffer.from(units.head.vs)
     tally(matches.head)
@@ -90,8 +62,6 @@ object UnitJoins {
       tally(df)
     }
     val out = df.select((0 until p.n).map(i => col(s"v$i")): _*).persist()
-    val run = tally.result(name, units.size, out, out.count())
-    edges.unpersist(blocking = false)
-    run
+    tally.result(name, units.size, out, out.count())
   }
 }

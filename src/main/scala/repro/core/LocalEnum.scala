@@ -57,7 +57,6 @@ object LocalEnum {
     * @param adjOf   total adjacency function (sorted arrays; empty array for
     *                vertices whose adjacency this machine does not hold)
     * @param sb      Grochow–Kellis conditions (a, b) meaning f(a) < f(b)
-    * @param accept  extra candidate predicate (e.g. locality for SM-E)
     */
   def enumerate(
       p: Pattern,
@@ -65,8 +64,7 @@ object LocalEnum {
       sb: Seq[(Int, Int)],
       roots: Iterable[Int],
       rootVertex: Int = 0,
-      keepEmbeddings: Boolean = true,
-      accept: Int => Boolean = _ => true): Result = {
+      keepEmbeddings: Boolean = true): Result = {
 
     val ord = order(p, rootVertex)
     val pos = Array.fill(p.n)(-1)
@@ -93,9 +91,7 @@ object LocalEnum {
       var i = 0
       while (i < base.length) {
         val v = base(i)
-        // accept() must imply adjOf(v) is the true adjacency (SM-E passes a
-        // locality predicate), so the degree filter below is always sound.
-        if (unused(f, v) && accept(v) && adjOf(v).length >= p.degree(u)) {
+        if (unused(f, v) && adjOf(v).length >= p.degree(u)) {
           var ok = true
           var j = 1
           while (ok && j < lists.length) {
@@ -116,7 +112,7 @@ object LocalEnum {
     }
 
     roots.foreach { r =>
-      if (accept(r) && adjOf(r).length >= p.degree(ord.head)) {
+      if (adjOf(r).length >= p.degree(ord.head)) {
         f(ord.head) = r; partials += 1
         rec(1)
         f(ord.head) = -1

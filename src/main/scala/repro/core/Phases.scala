@@ -28,7 +28,6 @@ object Phases {
     val uStart = ctx.uStart
     val nbrs   = block.nbrs
     val local  = Array.range(0, nbrs.length).filter(nbrs(_) != null)
-    val isLocal = (v: Int) => owner(v) == mid
 
     // --- border distance (Def. 1) ---
     val bd = PartitionedGraph.borderDistance(local, nbrs(_), owner)
@@ -40,9 +39,13 @@ object Phases {
       else (Array.empty[Int], candidates)
 
     // --- SM-E: single-machine enumeration restricted to local vertices ---
-    val adjOf: Int => Array[Int] = v => if (isLocal(v)) nbrs(v) else Array.empty[Int]
+    // A foreign vertex has no adjacency here, so LocalEnum's degree filter
+    // (degree ≥ 1 in a connected pattern) rejects it, and the roots are
+    // local. By Prop. 1 every embedding rooted at an SM-E candidate lies
+    // within its owner's vertices, so SM-E misses none.
+    val adjOf: Int => Array[Int] = v => if (owner(v) == mid) nbrs(v) else Array.empty[Int]
     val sme = LocalEnum.enumerate(p, adjOf, ctx.sb, smeCands.toVector,
-      rootVertex = uStart, keepEmbeddings = keepEmbeddings, accept = isLocal)
+      rootVertex = uStart, keepEmbeddings = keepEmbeddings)
 
     // --- memory estimate (§6) and region groups (Alg. 3) ---
     val node = EmbeddingTrie.NodeBytes.toDouble

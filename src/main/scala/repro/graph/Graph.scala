@@ -8,7 +8,7 @@ import scala.collection.mutable
   * `hasEdge` is a binary search and neighbor intersection is a linear merge.
   * This is the substrate every engine in the reproduction shares: the data
   * graph the paper enumerates over, the per-machine partition view, and the
-  * clique-index builder all operate on this structure.
+  * clique index (built by `LocalEnum`) all operate on this structure.
   */
 final class Graph private (val adj: Array[Array[Int]]) extends Serializable {
 
@@ -126,18 +126,5 @@ object Graph {
       if (a != b) { sets(a) += b; sets(b) += a }
     }
     new Graph(sets.map(_.toArray))
-  }
-
-  /** Linear merge of two ascending-sorted int arrays. */
-  def intersectSorted(xs: Array[Int], ys: Array[Int]): Array[Int] = {
-    val out = new mutable.ArrayBuilder.ofInt
-    var i = 0; var j = 0
-    while (i < xs.length && j < ys.length) {
-      val a = xs(i); val b = ys(j)
-      if (a == b) { out += a; i += 1; j += 1 }
-      else if (a < b) i += 1
-      else j += 1
-    }
-    out.result()
   }
 }

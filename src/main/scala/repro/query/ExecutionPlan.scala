@@ -224,9 +224,12 @@ object Planner {
     ExecutionPlan(p, units.toVector)
   }
 
-  /** App. C.2 baseline RanM: a random minimum-round plan (ignores §4.2/§4.3). */
+  /** App. C.2 baseline RanM: a random minimum-round plan (ignores §4.2/§4.3).
+    * `SplittableRandom` mixes the seed; `java.util.Random`'s first draw under
+    * a power-of-two bound is the same for seeds 1–5.
+    */
   def ranM(p: Pattern, seed: Long): ExecutionPlan = {
     val cands = candidatePlans(p)
-    cands(new Random(seed).nextInt(cands.size))
+    cands(new java.util.SplittableRandom(seed).nextInt(cands.size))
   }
 }

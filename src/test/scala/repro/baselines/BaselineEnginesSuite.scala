@@ -53,6 +53,29 @@ class BaselineEnginesSuite extends SparkSpec {
     }
   }
 
+  test("a run leaves only its result cached, and an overflowing run leaves nothing") {
+    def persisted = spark.sparkContext.getPersistentRDDs.keySet
+    val q  = Queries.q4
+    val sb = Automorphism.symmetryBreaking(q)
+    def engines(max: Long) = Seq[(String, () => BaselineRun)](
+      "PSgL"     -> (() => PSgL.run(spark, pg, q, sb, max)),
+      "TwinTwig" -> (() => TwinTwig.run(spark, pg, q, sb, max)),
+      "SEED"     -> (() => Seed.run(spark, pg, q, sb, max)),
+      "Crystal"  -> (() => Crystal.run(spark, pg, q, sb, index, max)))
+    engines(Long.MaxValue).foreach { case (name, run) =>
+      val before = persisted
+      val r = run()
+      assert(r.df.storageLevel != org.apache.spark.storage.StorageLevel.NONE, name)
+      r.df.unpersist()
+      assert(persisted == before, name)
+    }
+    engines(10L).foreach { case (name, run) =>
+      val before = persisted
+      assertThrows[repro.core.IntermediateOverflowException](run())
+      assert(persisted == before, s"$name overflowing")
+    }
+  }
+
   test("TwinTwig decomposition: units have at most 2 edges and cover all edges") {
     Queries.main.foreach { q =>
       val units = TwinTwig.decompose(q)
@@ -177,14 +200,14 @@ class BaselineEnginesSuite extends SparkSpec {
 
   test("Crystal index holds exactly the graph's triangles") {
     assert(index.triangles.length == g.triangleCount)
-    index.triangles.foreach { case (a, b, c) =>
+    index.triangles.foreach { case Array(a, b, c) =>
       assert(a < b && b < c)
       assert(g.hasEdge(a, b) && g.hasEdge(b, c) && g.hasEdge(a, c))
     }
   }
 
   test("Crystal index 4-cliques are genuine and canonical") {
-    index.k4s.foreach { case (a, b, c, d) =>
+    index.k4s.foreach { case Array(a, b, c, d) =>
       assert(a < b && b < c && c < d)
       Seq((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)).foreach { case (x, y) =>
         assert(g.hasEdge(x, y))

@@ -67,11 +67,6 @@ class GraphSuite extends AnyFunSuite {
     assert(Graph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2))).triangleCount == 1)
   }
 
-  test("intersectSorted") {
-    assert(Graph.intersectSorted(Array(1, 3, 5, 7), Array(2, 3, 5, 9)).toSeq == Seq(3, 5))
-    assert(Graph.intersectSorted(Array.empty[Int], Array(1, 2)).isEmpty)
-  }
-
   test("fromEdges rejects out-of-range edges") {
     assertThrows[IllegalArgumentException](Graph.fromEdges(2, Seq((0, 5))))
   }

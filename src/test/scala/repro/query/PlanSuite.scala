@@ -177,6 +177,11 @@ class PlanSuite extends AnyFunSuite {
     }
   }
 
+  test("RanM draws more than one q4 plan over seeds 1 to 5") {
+    // App. C.2 averages RanM over these seeds; q4 has 8 candidates
+    assert((1L to 5L).map(Planner.ranM(Queries.q4, _)).distinct.size >= 2)
+  }
+
   test("RanS generally uses more rounds than the optimized plan") {
     val q = Queries.q6
     val best = Planner.bestPlan(q).numRounds
