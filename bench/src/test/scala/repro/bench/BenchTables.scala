@@ -33,7 +33,7 @@ object BenchData {
   def pg(name: String): PartitionedGraph =
     pgCache.getOrElseUpdate(name, PartitionedGraph.metis(graph(name), machines, seed = 17))
 
-  val names: Seq[String] = GraphGen.datasetNames
+  val names: Seq[String] = Seq("RoadNet", "DBLP", "LiveJournal", "UK2002")
 
   def mb(bytes: Long): String = f"${bytes / 1048576.0}%.2f"
   def kb(bytes: Long): String = f"${bytes / 1024.0}%.1f"

@@ -235,11 +235,12 @@ final case class RadsRun(
   * owners and the answers back. The intermediate results never move, which
   * is the paper's central claim against the join-based systems.
   *
-  * The only actions are one per filter and the gather. The first stage that
-  * reads an expand computes and caches it, and a filter's action unpersists
-  * every state kept before it: a group's tries since its last filter stay
-  * cached until then, two with q4's data plan and four with q6. A final
-  * round with no verification edge harvests inside its expand.
+  * Each region group ends in one action, a collect of every machine's group
+  * count and stats from the group's last state; group 0 always runs, and a
+  * collecting run then gathers the results. The stage that first reads a
+  * state computes and caches it, and after a group's job every state but the
+  * last is unpersisted (D8). A final round with no verification edge
+  * harvests inside its expand.
   */
 object RMeefEngine {
 
@@ -269,25 +270,20 @@ object RMeefEngine {
         rIter.flatMap { case (_, (reqMid, q)) => serve(block, q).map(a => (reqMid, a)) }
       }.partitionBy(part)
 
-    // persisted states, oldest first: the next filter's action is the last to read all but the newest
+    // persisted states, oldest first: after a group's job only the newest is read again
     val kept = mutable.ArrayBuffer[RDD[(Int, MachineState)]]()
     def keep(next: RDD[(Int, MachineState)]): RDD[(Int, MachineState)] = { kept += next.persist(); next }
-    def materialize(next: RDD[(Int, MachineState)]): RDD[(Int, MachineState)] = {
-      keep(next).count()
-      while (kept.size > 1) kept.remove(0).unpersist(blocking = false)
-      next
-    }
 
     // the cached states, the blocks and the owner broadcast go when the run
     // ends, also when a job fails
     try {
-      // ---- init: candidates, border distance, SM-E, region groups ----
+      // ---- init: candidates, border distance, SM-E, region groups (computed by group 0's job) ----
       var state = keep(adjRdd.mapValues(block =>
         Phases.init(ctx, block.mid, block, ownerBc.value, cfg.budgetBytes, cfg.smeEnabled, cfg.seed,
           cfg.keepEmbeddings)))
-      val maxGroups = state.map(_._2.groups.size).reduce(math.max)
-
-      for (g <- 0 until maxGroups; i <- 0 until ctx.numRounds) {
+      // every machine's (group count, stats) after the last group; the lazy iterator reads it before each group
+      var report = Array.empty[(Int, MachineStats)]
+      for (g <- Iterator.from(0).takeWhile(g => g == 0 || g < report.map(_._1).max); i <- 0 until ctx.numRounds) {
         val verify    = ctx.unitVerifEdges(i).nonEmpty
         val lastRound = i == ctx.numRounds - 1
         // -- expand: build ECs of P_i into a fresh trie + EVI; filter here if nothing to verify --
@@ -299,7 +295,7 @@ object RMeefEngine {
             if (verify) next else Phases.unverified(ctx, next, i, harvest = lastRound, keep = cfg.keepEmbeddings)))
         }
         // round 0 pivots are local by construction, so only later rounds fetchV
-        val expanded =
+        val expanded = keep(
           if (i == 0) state.zipPartitions(adjRdd)(expand(_, _, Nil))
           else {
             val fetchResp = exchange(state.flatMap { case (mid, st) =>
@@ -307,28 +303,31 @@ object RMeefEngine {
             })((block, v) => Iterator((v, block.adjOf(v))))
             state.zipPartitions(adjRdd, fetchResp)((sIter, aIter, rIter) =>
               expand(sIter, aIter, rIter.map(_._2).toVector))
-          }
+          })
 
         state =
-          if (!verify) { if (lastRound) materialize(expanded) else keep(expanded) }
+          if (!verify) expanded
           else {
             // -- verifyE + filter (and harvest on the final round) --
             // one batch of keys per (requester, owner) pair; answered with the
             // keys that exist, and an empty answer is not sent
-            val unfiltered = keep(expanded)
-            val verResp = exchange(unfiltered.flatMap { case (mid, st) =>
+            val verResp = exchange(expanded.flatMap { case (mid, st) =>
               st.eviByOwner(ownerBc.value, m).map { case (t, keys) => (t, (mid, keys)) }
             })((block, keys) => Iterator(block.existing(keys)).filter(_.nonEmpty))
-            materialize(unfiltered.zipPartitions(verResp) { (sIter, rIter) =>
+            keep(expanded.zipPartitions(verResp) { (sIter, rIter) =>
               val (mid, st) = sIter.next()
               val failed = st.failedKeys(rIter.flatMap(_._2).toArray)
               Iterator((mid, Phases.filter(ctx, st, failed, harvest = lastRound, keep = cfg.keepEmbeddings)))
             })
           }
+        if (lastRound) { // the group's one job: it computes every state the group kept
+          report = state.map { case (_, st) => (st.groups.size, st.stats) }.collect()
+          while (kept.size > 1) kept.remove(0).unpersist(blocking = false)
+        }
       }
 
-      // ---- gather: the stats in one job; the results only with keepEmbeddings ----
-      val stats = state.map(_._2.stats).reduce(_ + _)
+      // ---- gather: the last report's stats; the results only with keepEmbeddings ----
+      val stats = report.map(_._2).reduce(_ + _)
       val count = stats.smeEmbeddings + stats.distEmbeddings
       val embeddings = if (!cfg.keepEmbeddings) Vector.empty
         else state.flatMap(_._2.resultChunks.iterator.flatten).collect().toVector

@@ -9,7 +9,7 @@ import scala.util.Random
   * which is available offline (DESIGN.md §3, deviation D1). Each generator
   * below preserves the property the paper uses the corresponding dataset
   * for: `roadLite` is sparse with a huge diameter (SM-E catches almost all
-  * work), `dblpLite` is small and moderately dense, `ljLite` is a capped
+  * work), `dblpLite` is small and moderately dense, `powerLaw` is the capped
   * power-law social graph, and `ukLite` adds triangle closure for a web-like
   * clustered graph. All are deterministic in (size, seed).
   */
@@ -80,10 +80,6 @@ object GraphGen {
   def dblpLite(n: Int = 3000, seed: Long = 21): Graph =
     powerLaw(n, edgesPerVertex = 3, maxDegree = 48, seed = seed)
 
-  /** LiveJournal substitute: denser power law. */
-  def ljLite(n: Int = 6000, seed: Long = 31): Graph =
-    powerLaw(n, edgesPerVertex = 6, maxDegree = 64, seed = seed)
-
   /** UK2002 substitute: power law plus a triangle-closure pass for web-like
     * clustering (more cliques — the regime where SEED/Crystal clique units
     * pay off).
@@ -134,20 +130,4 @@ object GraphGen {
     } yield e._2
     Graph.fromEdges(rows * cols, es)
   }
-
-  /** The bench/test datasets by paper name, at a given scale knob.
-    * scale=1.0 is the bench default; tests use scale ~0.1.
-    */
-  def dataset(name: String, scale: Double = 1.0, seed: Long = 7): Graph = {
-    def s(x: Int) = math.max(32, (x * scale).toInt)
-    name.toLowerCase match {
-      case "roadnet"     => roadLite(rows = s(100), cols = s(100), seed = seed)
-      case "dblp"        => dblpLite(n = s(3000), seed = seed)
-      case "livejournal" => ljLite(n = s(6000), seed = seed)
-      case "uk2002"      => ukLite(n = s(8000), seed = seed)
-      case other         => throw new IllegalArgumentException(s"unknown dataset $other")
-    }
-  }
-
-  val datasetNames: Seq[String] = Seq("RoadNet", "DBLP", "LiveJournal", "UK2002")
 }

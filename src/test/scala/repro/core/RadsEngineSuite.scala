@@ -75,57 +75,97 @@ class RadsEngineSuite extends SparkSpec {
   private def hasVerifyE(plan: repro.query.ExecutionPlan): Vector[Boolean] =
     plan.units.indices.map(plan.verificationEdges(_).nonEmpty).toVector
 
-  /** Runs `q` count-only on `pg` and returns its stage and job counts, after
-    * checking the count and that rounds with a verification edge are
-    * exactly `verified`.
+  /** Runs `q` on `pg` (count-only unless `keep`) and returns its stage and
+    * job counts, after checking the count, that rounds with a verification
+    * edge are exactly `verified`, and that every stage runs one task per
+    * machine (machine t is partition t).
     */
   private def pinned(pg: PartitionedGraph, q: repro.query.Pattern, budgetBytes: Double,
-                     verified: Vector[Boolean]): (Long, Long, RadsRun) = {
-    val (stages, jobs, run) = StageCounter.around(spark.sparkContext)(
-      Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = budgetBytes, keepEmbeddings = false)))
+                     verified: Vector[Boolean], keep: Boolean = false,
+                     plan: Option[repro.query.ExecutionPlan] = None): (Long, Long, RadsRun) = {
+    val (stages, jobs, tasks, run) = StageCounter.around(spark.sparkContext)(
+      Rads.enumerate(spark, pg, q, Rads.Config(budgetBytes = budgetBytes, keepEmbeddings = keep, plan = plan)))
     assert(run.count == LocalEnum.reference(q, pg.graph, Automorphism.symmetryBreaking(q)).count)
     assert(hasVerifyE(run.plan) == verified)
+    assert(tasks == pg.m * stages, s"$tasks tasks in $stages stages on ${pg.m} machines")
     (stages, jobs, run)
   }
 
-  test("one region group per machine: q4 runs 3 jobs and 8 stages, count-only") {
+  /** The most region groups any machine of `pg` forms for `plan` under `budgetBytes`. */
+  private def maxGroups(pg: PartitionedGraph, plan: repro.query.ExecutionPlan, budgetBytes: Double): Int = {
+    val cfg = Rads.Config()
+    val ctx = PlanCtx(plan, Automorphism.symmetryBreaking(plan.pattern))
+    (0 until pg.m).map(t => Phases.init(ctx, t, AdjBlock(t, pg.adjBlock(t)), pg.owner, budgetBytes,
+      cfg.smeEnabled, cfg.seed).groups.size).max
+  }
+
+  test("one region group per machine: q4 runs 1 job and 6 stages, count-only") {
     val pg = PartitionedGraph.metis(pl, 4, seed = 2)
     // Φ = 1 GB puts each machine's distributed candidates in one group
     val (stages, jobs, run) = pinned(pg, Queries.q4, 1e9, Vector(false, true))
     assert(run.metrics.machines.regionGroups >= 1 && run.metrics.machines.regionGroups <= pg.m)
-    val init   = 2 // ship the adjacency blocks to their machines; init + the group count (job 1)
-    // job 2: fetchV requests to owners (computing expand 0), answers back;
-    // expand 1 + verifyE requests to owners, answers back; filter
-    val group  = 5
-    val gather = 1 // stats (job 3)
-    assert(stages == init + group + gather)
-    assert(jobs == 3)
+    val ship  = 1 // ship the adjacency blocks to their machines
+    // fetchV requests to owners (computing init and expand 0), answers back;
+    // expand 1 + verifyE requests to owners, answers back; filter and the report
+    val group = 5
+    assert(stages == ship + group)
+    assert(jobs == 1)
   }
 
-  test("one region group per machine: q6 runs 3 jobs and 12 stages, count-only") {
+  test("one region group per machine: q6 runs 1 job and 10 stages, count-only") {
     val pg = PartitionedGraph.metis(pl, 4, seed = 2)
     // rounds 0-2 have no verification edge, so they run no verifyE and no filter
     val (stages, jobs, run) = pinned(pg, Queries.q6, 1e9, Vector(false, false, false, true))
     assert(run.metrics.machines.regionGroups >= 1 && run.metrics.machines.regionGroups <= pg.m)
-    val init   = 2
+    val ship   = 1
     val fetchV = 3 * 2 // rounds 1-3: requests to owners (computing the previous expand), answers back
-    val verify = 3     // expand 3 + verifyE requests to owners, answers back, filter
-    val gather = 1
-    assert(stages == init + fetchV + verify + gather)
-    assert(jobs == 3)
+    val verify = 3     // expand 3 + verifyE requests to owners, answers back, filter and the report
+    assert(stages == ship + fetchV + verify)
+    assert(jobs == 1)
   }
 
-  test("G region groups: q4 runs G + 2 jobs and 5G + 3 stages, count-only") {
+  test("G region groups: q4 runs G jobs and 5G + 1 stages, count-only") {
     val pg     = PartitionedGraph.metis(pl, 4, seed = 2)
     val budget = 2048.0
-    val cfg    = Rads.Config()
-    val ctx    = PlanCtx(Planner.dataPlan(Queries.q4, pl.degreeCounts), Automorphism.symmetryBreaking(Queries.q4))
-    val groups = (0 until pg.m).map(t =>
-      Phases.init(ctx, t, AdjBlock(t, pg.adjBlock(t)), pg.owner, budget, cfg.smeEnabled, cfg.seed).groups.size).max
+    val groups = maxGroups(pg, Planner.dataPlan(Queries.q4, pl.degreeCounts), budget)
     assert(groups > 1)
     val (stages, jobs, _) = pinned(pg, Queries.q4, budget, Vector(false, true))
-    assert(jobs == groups + 2)
-    assert(stages == 5 * groups + 3)
+    assert(jobs == groups)
+    assert(stages == 5 * groups + 1)
+  }
+
+  test("G region groups: q5 verifying in rounds 0 and 1 runs G jobs, count-only") {
+    val pg     = PartitionedGraph.metis(pl, 4, seed = 2)
+    val budget = 2048.0
+    val plan   = Planner.candidatePlans(Queries.q5).find(hasVerifyE(_) == Vector(true, true)).get
+    val groups = maxGroups(pg, plan, budget)
+    assert(groups > 1)
+    val (stages, jobs, _) = pinned(pg, Queries.q5, budget, Vector(true, true), plan = Some(plan))
+    assert(jobs == groups)
+    // round 0: expand + verifyE requests, answers; round 1: fetchV requests
+    // (computing the filter), answers, expand + verifyE requests, answers;
+    // filter and the report
+    assert(stages == 7 * groups + 1)
+  }
+
+  test("G region groups: a collecting q4 run runs G + 1 jobs") {
+    val pg     = PartitionedGraph.metis(pl, 4, seed = 2)
+    val budget = 2048.0
+    val groups = maxGroups(pg, Planner.dataPlan(Queries.q4, pl.degreeCounts), budget)
+    val (stages, jobs, run) = pinned(pg, Queries.q4, budget, Vector(false, true), keep = true)
+    assert(run.embeddings.size == run.count)
+    assert(jobs == groups + 1)
+    assert(stages == 5 * groups + 2) // the gather reads the cached last state in one more stage
+  }
+
+  test("m=1: one job, the reference count and no communication") {
+    val pg = PartitionedGraph.metis(pl, 1)
+    // no machine has a distributed candidate, so group 0 runs over empty tries
+    val (stages, jobs, run) = pinned(pg, Queries.q4, 1e9, Vector(false, true))
+    assert(run.metrics.machines.regionGroups == 0)
+    assert(run.metrics.comm.totalBytes == 0)
+    assert(jobs == 1)
+    assert(stages == 6)
   }
 
   test("pinned counters: q4 and q6 on the power-law graph, metis and hash, m=4, several groups") {

@@ -47,12 +47,12 @@ class GraphGenSuite extends AnyFunSuite {
 
   test("ljLite is denser than dblpLite") {
     val d = GraphGen.dblpLite(1500, seed = 8)
-    val l = GraphGen.ljLite(1500, seed = 8)
+    val l = GraphGen.powerLaw(1500, 6, 64, seed = 8)
     assert(l.avgDegree > d.avgDegree)
   }
 
   test("ukLite has more triangles per edge than ljLite (clustering pass)") {
-    val l = GraphGen.ljLite(1500, seed = 9)
+    val l = GraphGen.powerLaw(1500, 6, 64, seed = 9)
     val u = GraphGen.ukLite(1500, seed = 9)
     val lRatio = l.triangleCount.toDouble / l.numEdges
     val uRatio = u.triangleCount.toDouble / u.numEdges
@@ -66,17 +66,6 @@ class GraphGenSuite extends AnyFunSuite {
 
   test("gnm deterministic") {
     assert(GraphGen.gnm(50, 100, 1).edges.toSet == GraphGen.gnm(50, 100, 1).edges.toSet)
-  }
-
-  test("dataset() resolves all four paper names") {
-    GraphGen.datasetNames.foreach { name =>
-      val g = GraphGen.dataset(name, scale = 0.05)
-      assert(g.n >= 32, s"$name too small")
-    }
-  }
-
-  test("dataset() rejects unknown names") {
-    assertThrows[IllegalArgumentException](GraphGen.dataset("orkut"))
   }
 
   test("named toys have expected shapes") {
